@@ -172,7 +172,7 @@ impl Scope {
         let first_party = path.starts_with("crates/") && path.contains("/src/");
         let perf_module = path.contains("bench") || path.contains("perf");
         // Scenario modules are excluded from D004 by design, not
-        // oversight: every scenario cell runs under the executor's
+        // oversight: every scenario cell runs under the sweep pipeline's
         // panic-isolation contract (`catch_unwind` per cell), so an
         // `.expect` on a construction invariant surfaces as a recorded
         // per-cell failure in the report, never as a crashed sweep.

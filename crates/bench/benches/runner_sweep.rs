@@ -1,10 +1,10 @@
-//! Benchmark of the `ld-runner` sweep executor: sequential versus parallel
+//! Benchmark of the `ld-runner` sweep pipeline: sequential versus parallel
 //! execution of the Section 2 sweep, plus the canonical-view cache's effect,
 //! with a machine-readable snapshot written to `BENCH_runner_sweep.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ld_bench::perf;
-use ld_runner::{executor, scenarios, SweepConfig};
+use ld_runner::{scenarios, stream, SweepConfig};
 use std::time::Duration;
 
 fn config(threads: usize) -> SweepConfig {
@@ -25,7 +25,7 @@ fn write_perf_snapshot() {
     // every thread count equally instead of penalising whichever config
     // happens to be measured last.
     for &threads in &thread_counts {
-        let _ = executor::execute(&scenarios::Section2Sweep, &config(threads));
+        let _ = stream::collect(&scenarios::Section2Sweep, &config(threads));
     }
     const ROUNDS: u64 = 120;
     let mut totals = vec![0u128; thread_counts.len()];
@@ -33,7 +33,7 @@ fn write_perf_snapshot() {
         for (slot, &threads) in thread_counts.iter().enumerate() {
             let started = Instant::now();
             std::hint::black_box(
-                executor::execute(&scenarios::Section2Sweep, &config(threads))
+                stream::collect(&scenarios::Section2Sweep, &config(threads))
                     .unwrap()
                     .passed(),
             );
@@ -50,7 +50,7 @@ fn write_perf_snapshot() {
         })
         .collect();
     records.push(perf::measure("pyramid_sweep_threads/2", 2, || {
-        executor::execute(&scenarios::PyramidSweep, &config(2))
+        stream::collect(&scenarios::PyramidSweep, &config(2))
             .unwrap()
             .passed()
     }));
@@ -71,7 +71,7 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_function(format!("section2_sweep_threads_{threads}"), |b| {
             b.iter(|| {
-                executor::execute(&scenarios::Section2Sweep, &config(threads))
+                stream::collect(&scenarios::Section2Sweep, &config(threads))
                     .unwrap()
                     .passed()
             });

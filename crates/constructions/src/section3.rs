@@ -21,7 +21,6 @@ use ld_graph::{generators, LabeledGraph, NodeId};
 use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
 use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
-use serde::{Deserialize, Serialize};
 
 /// The node label of `G(M, r)`: every node is a cell of some table or
 /// fragment, carrying the machine, the locality parameter, the
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// Deliberately, the label does **not** say whether the node belongs to the
 /// real execution table or to a fragment — that is the whole point of the
 /// obfuscation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
     pub machine: TuringMachine,
@@ -384,7 +383,7 @@ pub mod promise {
     use super::*;
 
     /// The constant label of the promise-problem cycles.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     pub struct MachineLabel {
         /// The machine every node is told about.
         pub machine: TuringMachine,

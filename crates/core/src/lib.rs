@@ -22,7 +22,7 @@
 //! | [`local`] | the LOCAL model: inputs `(G,x,Id)`, views, algorithm traits, decision semantics, the Id-oblivious simulation `A*` |
 //! | [`constructions`] | the paper's witness families: Section 2 layered trees, Section 3 `G(M,r)`, pyramids, promise problems |
 //! | [`deciders`] | the paper's algorithms: Id-based deciders, Id-oblivious verifiers, the separation harness, the randomised decider |
-//! | [`runner`] | experiment orchestration: scenario specs, the parallel sweep executor, the shared canonical-view cache, JSON/CSV reports, the `ldx` CLI |
+//! | [`runner`] | experiment orchestration: scenario specs, the sharded parallel sweep pipeline, the shared canonical-view cache, JSON/CSV reports, the `ldx` CLI |
 //!
 //! # Quickstart
 //!
@@ -49,10 +49,10 @@
 //! canonicalisation is served by the shared view cache.
 //!
 //! ```
-//! use local_decision::runner::{executor, scenarios, SweepConfig};
+//! use local_decision::runner::{scenarios, stream, SweepConfig};
 //!
 //! let config = SweepConfig { max_n: 16, threads: 2, seed: 1, ..SweepConfig::default() };
-//! let report = executor::execute(&scenarios::PyramidSweep, &config)?;
+//! let report = stream::collect(&scenarios::PyramidSweep, &config)?;
 //! assert_eq!(report.failed() + report.panicked(), 0);
 //! println!("{}", report.to_json());
 //! # Ok::<(), String>(())
@@ -84,7 +84,7 @@ pub mod prelude {
         decision, enumeration, CacheStats, FnLocal, FnOblivious, IdAssignment, IdBound, Input,
         LocalAlgorithm, ObliviousAlgorithm, ObliviousView, Property, Verdict, View, ViewCache,
     };
-    pub use ld_runner::{executor as sweep_executor, scenarios, SweepConfig};
+    pub use ld_runner::{scenarios, stream, SweepConfig};
     pub use ld_turing::{zoo, Symbol, TuringMachine};
 }
 

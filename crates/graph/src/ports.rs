@@ -9,12 +9,11 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A port numbering: every node numbers its incident edges `0..deg(v)`.
 ///
 /// Stored as, for each node, the list of neighbours ordered by port number.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortNumbering {
     ports: Vec<Vec<NodeId>>,
 }
@@ -80,7 +79,7 @@ impl PortNumbering {
 }
 
 /// An orientation assigns a direction to every edge of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Orientation {
     /// Directed edges `(tail, head)`, one per undirected edge, sorted.
     arcs: Vec<(NodeId, NodeId)>,

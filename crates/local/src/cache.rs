@@ -188,7 +188,7 @@ impl<L: Clone + Eq + Hash + Send + Sync, S: SyncFacade> ViewCache<L, S> {
     /// Reads memoized data for `view` under the shard's *shared* lock.
     /// The facade lock recovers from poison (shard data is
     /// complete-or-absent, so a panic elsewhere must not cascade into
-    /// unrelated lookups — that would break the executor's
+    /// unrelated lookups — that would break the sweep pipeline's
     /// panic-isolation contract).  Never runs user code.
     fn read<T>(
         &self,

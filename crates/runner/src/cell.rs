@@ -2,7 +2,7 @@
 //!
 //! A scenario expands into a list of *cells* — one fully determined
 //! parameter combination each (family × size × radius × id-regime ×
-//! algorithm).  The executor runs cells in any order on any number of
+//! algorithm).  The sweep pipeline runs cells in any order on any number of
 //! threads; everything a cell reports is a pure function of its spec and its
 //! seed, so reports are reproducible bit for bit.
 
@@ -108,7 +108,7 @@ impl CellOutcome {
 pub struct CellResult {
     /// The cell's declarative spec.
     pub spec: CellSpec,
-    /// The per-cell seed the executor derived for it.
+    /// The per-cell seed the sweep pipeline derived for it.
     pub seed: u64,
     /// The outcome, or `Err(panic message)` when the cell panicked (panics
     /// are isolated; the rest of the sweep is unaffected).

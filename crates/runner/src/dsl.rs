@@ -5,7 +5,7 @@
 //! radius × id-regime × budgets × decider into a [`Plan`], loadable via
 //! `ldx run --file <scenario.json>` and submittable to `ld-serve` daemons.
 //! The parsed [`ScenarioDoc`] implements [`Scenario`], so every downstream
-//! layer — the executor, the streaming pipeline, checkpoint resume, the
+//! layer — the sharded pipeline, in-memory collection, checkpoint resume, the
 //! service spool — treats it exactly like a built-in module.
 //!
 //! The load-bearing contract: the committed `scenarios/section2-sweep.json`
@@ -1490,7 +1490,7 @@ mod tests {
             max_n: 40,
             ..SweepConfig::default()
         };
-        let report = crate::executor::execute(&doc, &config).unwrap();
+        let report = crate::stream::collect(&doc, &config).unwrap();
         assert_eq!(report.panicked(), 0);
         assert_eq!(
             report.failed(),
@@ -1722,14 +1722,14 @@ mod tests {
             ..SweepConfig::default()
         };
         // The document budget exhausts radius-3 path cells.
-        let report = crate::executor::execute(&doc, &config).unwrap();
+        let report = crate::stream::collect(&doc, &config).unwrap();
         assert!(report.exhausted() > 0);
         // An explicit flag wins over the document default.
         let generous = SweepConfig {
             node_budget: Some(u64::MAX),
             ..config
         };
-        let report = crate::executor::execute(&doc, &generous).unwrap();
+        let report = crate::stream::collect(&doc, &generous).unwrap();
         assert_eq!(report.exhausted(), 0);
     }
 

@@ -10,10 +10,6 @@
 //!   parameter cell.  Built-ins in [`scenarios`] cover the Section 2
 //!   layered trees, the Section 3 execution tables, pyramids, the
 //!   randomised decider, and the summary table.
-//! * **A parallel executor** ([`executor`]) — a scoped thread pool over an
-//!   atomic work queue, with per-cell seeds derived from the cell *index*
-//!   and panics isolated per cell, so `--threads 8` reports are byte-equal
-//!   to `--threads 1` reports.
 //! * **A shared canonical-view cache** (`ld_local::cache`, threaded through
 //!   every oblivious decision and view enumeration the cells perform) — the
 //!   hot path of every indistinguishability harness, computed once per
@@ -24,22 +20,26 @@
 //!   ([`CellOutcome::budget`]), which is what lets the radius-3 scenario
 //!   (`section2-sweep-r3`) sweep `--max-n 128` safely.  Scenarios without a
 //!   budget knob ignore the caps, as `relationship-table` ignores `max_n`.
-//! * **A streaming sharded pipeline** ([`stream`]) — the plan is
-//!   partitioned into deterministic shards; workers feed a bounded channel
-//!   to a single writer that appends schema-`v3` cells in index order, so
-//!   peak memory is O(shard window), not O(plan), and the streamed file is
-//!   byte-identical to the in-memory rendering.  Every flushed shard is
-//!   recorded in a `.ckpt` sidecar: a killed sweep resumes from its last
-//!   shard (`ldx resume`) and byte-matches an uninterrupted run.  The
-//!   large-N scenarios (`section2-sweep-xl` at 512+ nodes,
-//!   `randomized-sweep-xl`) ride on this headroom, with scenario-default
-//!   budgets (`EnumerationBudget::scaled`) capping every cell.
+//! * **One sharded sweep pipeline** ([`stream`]) — the plan is
+//!   partitioned into deterministic shards that a scoped worker pool
+//!   claims off an atomic counter; a single writer takes them in shard
+//!   order.  Per-cell seeds derive from the cell *index* and panics are
+//!   isolated per cell, so `--threads 8` reports are byte-equal to
+//!   `--threads 1` reports.  [`stream::run`] appends schema-`v3` cells to
+//!   a file as shards complete, so peak memory is O(shard window), not
+//!   O(plan); [`stream::collect`] gathers the same cells into an in-memory
+//!   [`RunReport`] whose rendering is byte-identical to the streamed file.
+//!   Every flushed shard is recorded in a `.ckpt` sidecar: a killed sweep
+//!   resumes from its last shard (`ldx resume`) and byte-matches an
+//!   uninterrupted run.  The large-N scenarios (`section2-sweep-xl` at
+//!   512+ nodes, `randomized-sweep-xl`) ride on this headroom, with
+//!   scenario-default budgets (`EnumerationBudget::scaled`) capping every
+//!   cell.
 //! * **Reporters** ([`report`]) — JSON and CSV run records (schema
 //!   `ld-runner/report/v3`: header, append-only `cells` stream, trailing
-//!   summary) plus the `BENCH_runner.json` perf snapshot, and a
-//!   version-compatible reader ([`summary`]) that parses v3 and the legacy
-//!   v2/v1 documents alike — which is what `ldx diff` compares any two
-//!   persisted reports with.
+//!   summary) and a version-compatible reader ([`summary`]) that parses
+//!   v3 and the legacy v2/v1 documents alike — which is what `ldx diff`
+//!   compares any two persisted reports with.
 //!
 //! The `ldx` binary (this crate's `src/bin/ldx.rs`) lists, runs, resumes
 //! and diffs sweeps by name:
@@ -55,10 +55,10 @@
 //! # Example
 //!
 //! ```
-//! use ld_runner::{executor, scenarios, SweepConfig};
+//! use ld_runner::{scenarios, stream, SweepConfig};
 //!
 //! let config = SweepConfig { max_n: 16, threads: 2, seed: 1, ..SweepConfig::default() };
-//! let report = executor::execute(&scenarios::PyramidSweep, &config).unwrap();
+//! let report = stream::collect(&scenarios::PyramidSweep, &config).unwrap();
 //! assert_eq!(report.panicked(), 0);
 //! let json = report.to_json();
 //! assert!(json.starts_with("{"));
@@ -69,7 +69,6 @@
 
 pub mod cell;
 pub mod dsl;
-pub mod executor;
 pub mod json;
 pub mod report;
 pub mod scenario;

@@ -12,10 +12,6 @@
 //! * [`RunReport::to_csv`] — one row per cell for spreadsheet-shaped
 //!   consumers.
 //!
-//! [`RunReport::bench_snapshot_json`] additionally distils a perf snapshot
-//! (`BENCH_runner.json` at the repo root) so the repo's performance
-//! trajectory is recorded alongside its correctness results.
-//!
 //! The current schema is `ld-runner/report/v3`: a header (schema, scenario,
 //! config), the `cells` array in cell-index order, and a trailing `summary`
 //! object — summary *after* cells, so the document can be written as an
@@ -51,7 +47,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assembles a report (used by the executor).
+    /// Assembles a report (used by [`crate::stream::collect`]).
     pub fn new(
         scenario: &str,
         config: SweepConfig,
@@ -162,35 +158,6 @@ impl RunReport {
             out.push_str(&csv_row(&self.scenario, cell, with_wall));
         }
         out
-    }
-
-    /// The perf snapshot written to `BENCH_runner.json`: scenario, scale,
-    /// wall time, throughput and cache effectiveness in one flat object.
-    pub fn bench_snapshot_json(&self) -> String {
-        Json::object()
-            .set("bench", "ldx-sweep")
-            .set("scenario", self.scenario.as_str())
-            .set("cells", self.cells.len())
-            .set("max_n", self.config.max_n)
-            .set("threads", self.config.threads)
-            .set("seed", self.config.seed)
-            .set("passed", self.passed())
-            .set("failed", self.failed())
-            .set("panicked", self.panicked())
-            .set("exhausted", self.exhausted())
-            .set("total_wall_micros", self.total_wall.as_micros() as u64)
-            .set(
-                "cells_per_second",
-                if self.total_wall.as_secs_f64() > 0.0 {
-                    self.cells.len() as f64 / self.total_wall.as_secs_f64()
-                } else {
-                    0.0
-                },
-            )
-            .set("cache_hits", self.cache.hits)
-            .set("cache_misses", self.cache.misses)
-            .set("cache_hit_rate", self.cache.hit_rate())
-            .render()
     }
 
     /// Writes `contents` produced by one of the renderers to `path`.
@@ -509,14 +476,5 @@ mod tests {
         }
         assert_eq!(csv, other.deterministic_csv());
         assert_ne!(report.to_csv(), other.to_csv());
-    }
-
-    #[test]
-    fn bench_snapshot_is_flat_and_complete() {
-        let snapshot = sample_report().bench_snapshot_json();
-        assert!(snapshot.contains("\"bench\": \"ldx-sweep\""));
-        assert!(snapshot.contains("\"cells\": 3"));
-        assert!(snapshot.contains("\"exhausted\": 1"));
-        assert!(snapshot.contains("\"cache_hit_rate\": 0.75"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Scenario`] turns a [`SweepConfig`] into a [`Plan`]: a list of cells,
 //! each paired with a closure that executes it, plus handles to the shared
-//! canonical-view caches the cells consult.  The executor (see
-//! [`crate::executor`]) is scenario-agnostic; all domain knowledge lives in
+//! canonical-view caches the cells consult.  The sweep pipeline (see
+//! [`crate::stream`]) is scenario-agnostic; all domain knowledge lives in
 //! the plans.
 
 use crate::cell::{CellOutcome, CellSpec};
@@ -164,8 +164,8 @@ impl Default for SweepConfig {
 
 impl SweepConfig {
     /// Checks the configuration for structural validity before any scenario
-    /// sees it.  Every sweep entry point ([`crate::executor::execute`], the
-    /// streaming pipeline, `ldx`) validates first, so scenario builders can
+    /// sees it.  Every sweep entry point ([`crate::stream::run`],
+    /// [`crate::stream::collect`], `ldx`) validates first, so scenario builders can
     /// assume `max_n >= 1`, `radius <= MAX_RADIUS` and `shard_size >= 1`.
     ///
     /// # Errors
@@ -222,12 +222,12 @@ pub struct PlannedCell {
     /// parameters).
     pub spec: CellSpec,
     /// Executes the cell.  Receives the per-cell seed; must be deterministic
-    /// in (spec, seed).  May panic — the executor isolates panics.
+    /// in (spec, seed).  May panic — the pipeline isolates panics.
     pub run: Box<dyn Fn(u64) -> CellOutcome + Send + Sync>,
 }
 
 impl PlannedCell {
-    /// Pairs a spec with its executor closure.
+    /// Pairs a spec with the closure that executes it.
     pub fn new(spec: CellSpec, run: impl Fn(u64) -> CellOutcome + Send + Sync + 'static) -> Self {
         PlannedCell {
             spec,
@@ -249,7 +249,7 @@ impl<L: Send + Sync> CacheStatsSource for ViewCache<L> {
     }
 }
 
-/// A fully expanded sweep, ready for the executor.
+/// A fully expanded sweep, ready to execute.
 pub struct Plan {
     /// The cells, in planning order (which is also report order).
     pub cells: Vec<PlannedCell>,

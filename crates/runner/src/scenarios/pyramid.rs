@@ -91,17 +91,19 @@ impl Scenario for PyramidSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn pyramids_verify_and_enumerate() {
         let config = SweepConfig {
             max_n: 100,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             seed: 4,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&PyramidSweep, &config).unwrap();
+        let report = stream::collect(&PyramidSweep, &config).unwrap();
         assert!(report.cells.len() >= 8, "{} cells", report.cells.len());
         assert_eq!(report.panicked(), 0);
         assert_eq!(report.failed(), 0);

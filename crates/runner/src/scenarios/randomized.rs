@@ -112,17 +112,19 @@ impl Scenario for RandomizedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn rates_exhibit_one_sided_error() {
         let config = SweepConfig {
             max_n: 32,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             seed: 2026,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&RandomizedSweep, &config).unwrap();
+        let report = stream::collect(&RandomizedSweep, &config).unwrap();
         assert!(report.cells.len() >= 4);
         assert_eq!(report.panicked(), 0);
         assert_eq!(
@@ -146,8 +148,8 @@ mod tests {
             seed: 7,
             ..SweepConfig::default()
         };
-        let a = executor::execute(&RandomizedSweep, &config).unwrap();
-        let b = executor::execute(&RandomizedSweep, &config).unwrap();
+        let a = stream::collect(&RandomizedSweep, &config).unwrap();
+        let b = stream::collect(&RandomizedSweep, &config).unwrap();
         assert_eq!(a.deterministic_json(), b.deterministic_json());
     }
 }

@@ -153,7 +153,7 @@ impl Scenario for RandomizedSweepXl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn xl_ladder_scales_with_max_n() {
@@ -179,10 +179,12 @@ mod tests {
         let config = SweepConfig {
             max_n: 64,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             seed: 2026,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&RandomizedSweepXl, &config).unwrap();
+        let report = stream::collect(&RandomizedSweepXl, &config).unwrap();
         assert!(report.cells.len() >= 8);
         assert_eq!(report.panicked(), 0);
         assert_eq!(
@@ -216,8 +218,8 @@ mod tests {
             view_budget: Some(2),
             ..SweepConfig::default()
         };
-        let a = executor::execute(&RandomizedSweepXl, &config).unwrap();
-        let b = executor::execute(&RandomizedSweepXl, &config).unwrap();
+        let a = stream::collect(&RandomizedSweepXl, &config).unwrap();
+        let b = stream::collect(&RandomizedSweepXl, &config).unwrap();
         assert!(a.exhausted() > 0, "a 2-view budget must exhaust GMR cells");
         assert_eq!(a.failed(), 0);
         assert_eq!(a.deterministic_json(), b.deterministic_json());

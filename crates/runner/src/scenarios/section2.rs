@@ -371,7 +371,7 @@ impl Scenario for Section2Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn default_budget_plans_a_rich_sweep() {
@@ -388,7 +388,7 @@ mod tests {
             seed: 41,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&Section2Sweep, &config).unwrap();
+        let report = stream::collect(&Section2Sweep, &config).unwrap();
         assert_eq!(report.panicked(), 0);
         assert_eq!(
             report.failed(),

@@ -335,7 +335,7 @@ impl Scenario for Section2SweepR3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn default_budget_plans_a_rich_radius3_sweep() {
@@ -349,10 +349,12 @@ mod tests {
         let config = SweepConfig {
             max_n: 48,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             seed: 7,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&Section2SweepR3, &config).unwrap();
+        let report = stream::collect(&Section2SweepR3, &config).unwrap();
         assert_eq!(report.panicked(), 0);
         assert_eq!(
             report.failed(),
@@ -378,8 +380,8 @@ mod tests {
             node_budget: Some(64),
             ..SweepConfig::default()
         };
-        let a = executor::execute(&Section2SweepR3, &config).unwrap();
-        let b = executor::execute(&Section2SweepR3, &config).unwrap();
+        let a = stream::collect(&Section2SweepR3, &config).unwrap();
+        let b = stream::collect(&Section2SweepR3, &config).unwrap();
         assert!(a.exhausted() > 0, "a 64-node budget must exhaust r3 cells");
         assert_eq!(a.failed(), 0, "exhaustion is an outcome, not a failure");
         assert_eq!(a.deterministic_json(), b.deterministic_json());
@@ -392,7 +394,7 @@ mod tests {
             radius: Some(1),
             ..SweepConfig::default()
         };
-        let report = executor::execute(&Section2SweepR3, &config).unwrap();
+        let report = stream::collect(&Section2SweepR3, &config).unwrap();
         assert_eq!(report.failed() + report.panicked(), 0);
         // Radius-1 paths have exactly 2 distinct views.
         let cell = report

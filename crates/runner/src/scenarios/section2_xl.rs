@@ -69,7 +69,7 @@ impl Scenario for Section2SweepXl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn xl_plan_covers_every_family_at_512() {
@@ -109,9 +109,11 @@ mod tests {
         let config = SweepConfig {
             max_n: 48,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&Section2SweepXl, &config).unwrap();
+        let report = stream::collect(&Section2SweepXl, &config).unwrap();
         assert_eq!(report.failed() + report.panicked(), 0);
         assert_eq!(report.exhausted(), 0, "the scaled default must be generous");
         for cell in &report.cells {
@@ -131,8 +133,8 @@ mod tests {
             node_budget: Some(64),
             ..SweepConfig::default()
         };
-        let a = executor::execute(&Section2SweepXl, &config).unwrap();
-        let b = executor::execute(&Section2SweepXl, &config).unwrap();
+        let a = stream::collect(&Section2SweepXl, &config).unwrap();
+        let b = stream::collect(&Section2SweepXl, &config).unwrap();
         assert!(a.exhausted() > 0, "a 64-node budget must exhaust XL cells");
         assert_eq!(a.failed(), 0, "exhaustion is an outcome, not a failure");
         assert_eq!(a.deterministic_json(), b.deterministic_json());

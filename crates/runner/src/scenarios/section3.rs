@@ -135,17 +135,19 @@ impl Scenario for Section3Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn sweep_confirms_theorem_2_on_the_quick_zoo() {
         let config = SweepConfig {
             max_n: 24,
             threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
             seed: 9,
             ..SweepConfig::default()
         };
-        let report = executor::execute(&Section3Sweep, &config).unwrap();
+        let report = stream::collect(&Section3Sweep, &config).unwrap();
         assert!(report.cells.len() >= 5);
         assert_eq!(report.panicked(), 0);
         assert_eq!(

@@ -159,11 +159,11 @@ impl Scenario for RelationshipTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::stream;
 
     #[test]
     fn all_four_quadrants_come_out_as_the_paper_states() {
-        let report = executor::execute(&RelationshipTable, &SweepConfig::default()).unwrap();
+        let report = stream::collect(&RelationshipTable, &SweepConfig::default()).unwrap();
         assert_eq!(report.cells.len(), 4);
         assert_eq!(report.panicked(), 0);
         assert_eq!(

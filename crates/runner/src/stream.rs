@@ -1,9 +1,10 @@
-//! Streaming sharded sweep execution: O(shard) memory, checkpoint/resume.
+//! Sweep execution: sharded, parallel, streamed, checkpointed.
 //!
-//! The classic executor ([`crate::executor`]) materialises every
-//! [`CellResult`] in memory and serialises one monolithic report at the end —
-//! fine for hundreds of cells, a hard ceiling for thousands.  This module
-//! rebuilds execution as a pipeline:
+//! Every sweep in the workspace runs through this module's one worker
+//! pool: `ldx run` streams to a file with [`run`], the daemon
+//! and `ldx dispatch` execute shards with [`execute_shard`], and in-memory
+//! callers (tests, examples, benches) gather a [`RunReport`] with
+//! [`collect`].  Execution is a pipeline:
 //!
 //! 1. **Deterministic shards.**  The plan's cells are partitioned by index
 //!    into fixed-size shards ([`ShardLayout`], `SweepConfig::shard_size`
@@ -32,13 +33,21 @@
 //!    byte-identical to an uninterrupted run (per-cell seeds derive from
 //!    the *global* cell index, so resumed cells replay exactly).
 //!
+//! Three properties make the output independent of the worker count:
+//! each cell's seed is a SplitMix64 mix of the master seed and the cell's
+//! *global index* ([`cell_seed`]), never of the worker that runs it; the
+//! writer emits shards in shard order whatever order they complete in; and
+//! a panicking cell is caught and recorded as an error outcome while the
+//! sweep keeps draining.
+//!
 //! `ldx run` drives [`run`]; `ldx resume` drives [`resume`]; `ldx diff`
 //! compares any two persisted reports via [`crate::summary`].
 
 use crate::cell::CellResult;
-use crate::executor::{effective_workers, run_cell};
 use crate::json::Json;
-use crate::report::{cell_json, config_json, csv_header, csv_row, perf_json, summary_json, SCHEMA};
+use crate::report::{
+    cell_json, config_json, csv_header, csv_row, perf_json, summary_json, RunReport, SCHEMA,
+};
 use crate::scenario::{Plan, PlannedCell, Scenario, SweepConfig};
 use crate::spool_io::{RealIo, SpoolFile, SpoolIo};
 use interleave::{
@@ -49,6 +58,7 @@ use ld_local::cache::CacheStats;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Write};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 // ld-analyze: allow(D002, reason = "wall-clock timings are reporting-only; no control flow depends on them")
@@ -287,43 +297,71 @@ pub fn execute_shard(
     layout: ShardLayout,
     shard: usize,
 ) -> ShardCells {
-    let range = layout.shard_range(shard);
-    let mut out = ShardCells {
+    let results = run_shard(cells, config, layout, shard);
+    let tally = ShardTally::of(&results);
+    let fragments: Vec<String> = results.iter().map(render_cell_fragment).collect();
+    let digest = fragments.iter().fold(FNV_OFFSET, |digest, fragment| {
+        fnv1a(digest, fragment.as_bytes())
+    });
+    ShardCells {
         shard,
-        fragments: Vec::with_capacity(range.len()),
-        passed: 0,
-        failed: 0,
-        panicked: 0,
-        exhausted: 0,
-        wall_micros: Vec::with_capacity(range.len()),
-        failures: Vec::new(),
-        digest: FNV_OFFSET,
-    };
-    for index in range {
-        let cell = run_cell(&cells[index], index, config);
-        if cell.passed() {
-            out.passed += 1;
-        } else if cell.panicked() {
-            out.panicked += 1;
-        } else {
-            out.failed += 1;
-        }
-        if cell.exhausted() {
-            out.exhausted += 1;
-        }
-        if !cell.passed() {
-            let what = match &cell.outcome {
-                Ok(outcome) => outcome.verdict.clone(),
-                Err(message) => format!("panic: {message}"),
-            };
-            out.failures.push((cell.spec.id.clone(), what));
-        }
-        out.wall_micros.push(cell.wall.as_micros() as u64);
-        let fragment = render_cell_fragment(&cell);
-        out.digest = fnv1a(out.digest, fragment.as_bytes());
-        out.fragments.push(fragment);
+        fragments,
+        passed: tally.passed,
+        failed: tally.failed,
+        panicked: tally.panicked,
+        exhausted: tally.exhausted,
+        wall_micros: tally.wall_micros,
+        failures: tally.failures,
+        digest,
     }
-    out
+}
+
+/// The counters every consumer of a shard's results keeps: outcome
+/// classes, per-cell wall times and the failure lines.
+struct ShardTally {
+    passed: usize,
+    failed: usize,
+    panicked: usize,
+    exhausted: usize,
+    wall_micros: Vec<u64>,
+    failures: Vec<(String, String)>,
+}
+
+impl ShardTally {
+    /// Classifies each cell as passed, failed or panicked (exhaustion is
+    /// counted on top), and records its wall time and, unless it passed,
+    /// its `(cell id, verdict-or-panic)` line.
+    fn of(results: &[CellResult]) -> Self {
+        let mut tally = ShardTally {
+            passed: 0,
+            failed: 0,
+            panicked: 0,
+            exhausted: 0,
+            wall_micros: Vec::with_capacity(results.len()),
+            failures: Vec::new(),
+        };
+        for cell in results {
+            if cell.passed() {
+                tally.passed += 1;
+            } else if cell.panicked() {
+                tally.panicked += 1;
+            } else {
+                tally.failed += 1;
+            }
+            if cell.exhausted() {
+                tally.exhausted += 1;
+            }
+            if !cell.passed() {
+                let what = match &cell.outcome {
+                    Ok(outcome) => outcome.verdict.clone(),
+                    Err(message) => format!("panic: {message}"),
+                };
+                tally.failures.push((cell.spec.id.clone(), what));
+            }
+            tally.wall_micros.push(cell.wall.as_micros() as u64);
+        }
+        tally
+    }
 }
 
 /// One completed shard's checkpoint record.
@@ -595,39 +633,6 @@ pub struct StreamSummary {
     pub failures: Vec<(String, String)>,
 }
 
-impl StreamSummary {
-    /// The flat perf snapshot (`BENCH_runner.json`), mirroring
-    /// [`RunReport::bench_snapshot_json`].
-    ///
-    /// [`RunReport::bench_snapshot_json`]: crate::report::RunReport::bench_snapshot_json
-    pub fn bench_snapshot_json(&self) -> String {
-        Json::object()
-            .set("bench", "ldx-sweep")
-            .set("scenario", self.scenario.as_str())
-            .set("cells", self.cell_count)
-            .set("max_n", self.config.max_n)
-            .set("threads", self.config.threads)
-            .set("seed", self.config.seed)
-            .set("passed", self.passed)
-            .set("failed", self.failed)
-            .set("panicked", self.panicked)
-            .set("exhausted", self.exhausted)
-            .set("total_wall_micros", self.cumulative_wall.as_micros() as u64)
-            .set(
-                "cells_per_second",
-                if self.cumulative_wall.as_secs_f64() > 0.0 {
-                    self.cell_count as f64 / self.cumulative_wall.as_secs_f64()
-                } else {
-                    0.0
-                },
-            )
-            .set("cache_hits", self.cumulative_cache.hits)
-            .set("cache_misses", self.cumulative_cache.misses)
-            .set("cache_hit_rate", self.cumulative_cache.hit_rate())
-            .render()
-    }
-}
-
 /// Runs `scenario` as a streaming sharded sweep, writing the v3 report to
 /// `path` (and the checkpoint sidecar next to it).
 ///
@@ -707,6 +712,45 @@ pub fn run_with_io(
         path,
         csv,
     )
+}
+
+/// Runs `scenario` through the same sharded worker pool as [`run`] and
+/// gathers every cell in memory instead of streaming it: no report file,
+/// no checkpoint.  The returned report renders byte-identically to the
+/// document [`run`] streams for the same sweep.
+///
+/// # Errors
+///
+/// Propagates configuration errors ([`SweepConfig::validate`]) and planning
+/// failures; execution itself cannot fail (cell panics are captured into
+/// the report).
+pub fn collect(scenario: &dyn Scenario, config: &SweepConfig) -> Result<RunReport, String> {
+    config.validate().map_err(|e| e.to_string())?;
+    let plan = scenario.plan(config)?;
+    let layout = ShardLayout::new(plan.cells.len(), config.shard_size);
+    let cache_before = plan.cache_stats();
+    let started = Instant::now();
+    let mut cells = Vec::with_capacity(plan.cells.len());
+    run_shards(
+        &plan.cells,
+        config,
+        layout,
+        0,
+        layout.shard_count(),
+        &mut |_, results| {
+            cells.extend(results);
+            Ok(())
+        },
+    )?;
+    let total_wall = started.elapsed();
+    let cache = plan.cache_stats().since(&cache_before);
+    Ok(RunReport::new(
+        scenario.name(),
+        config.clone(),
+        cells,
+        total_wall,
+        cache,
+    ))
 }
 
 /// Continues an interrupted streaming sweep from its checkpoint sidecar.
@@ -963,39 +1007,21 @@ fn drive(
         prior.first_shard,
         stop_shard,
         &mut |shard, results: Vec<CellResult>| {
+            let tally = ShardTally::of(&results);
+            failures.extend(tally.failures);
             let mut record = ShardRecord {
                 shard,
                 cells: results.len(),
-                passed: 0,
-                failed: 0,
-                panicked: 0,
-                exhausted: 0,
+                passed: tally.passed,
+                failed: tally.failed,
+                panicked: tally.panicked,
+                exhausted: tally.exhausted,
                 end_offset: 0,
                 digest: 0,
                 elapsed_micros: 0,
                 cache: CacheStats::default(),
-                wall_micros: Vec::with_capacity(results.len()),
+                wall_micros: tally.wall_micros,
             };
-            for cell in &results {
-                if cell.passed() {
-                    record.passed += 1;
-                } else if cell.panicked() {
-                    record.panicked += 1;
-                } else {
-                    record.failed += 1;
-                }
-                if cell.exhausted() {
-                    record.exhausted += 1;
-                }
-                if !cell.passed() {
-                    let what = match &cell.outcome {
-                        Ok(outcome) => outcome.verdict.clone(),
-                        Err(message) => format!("panic: {message}"),
-                    };
-                    failures.push((cell.spec.id.clone(), what));
-                }
-                record.wall_micros.push(cell.wall.as_micros() as u64);
-            }
             stream
                 .write_cells(&results)
                 .map_err(|e| format!("writing {}: {e}", report_path.display()))?;
@@ -1084,12 +1110,7 @@ fn run_shards(
     stop_shard: usize,
     emit: &mut dyn FnMut(usize, Vec<CellResult>) -> Result<(), String>,
 ) -> Result<(), String> {
-    let run_shard = |shard: usize| -> Vec<CellResult> {
-        layout
-            .shard_range(shard)
-            .map(|index| run_cell(&cells[index], index, config))
-            .collect()
-    };
+    let run = |shard: usize| run_shard(cells, config, layout, shard);
     if first_shard >= stop_shard {
         return Ok(());
     }
@@ -1098,19 +1119,12 @@ fn run_shards(
     let workers = effective_workers(config.threads, remaining_cells);
     if workers <= 1 || stop_shard - first_shard <= 1 {
         for shard in first_shard..stop_shard {
-            emit(shard, run_shard(shard))?;
+            emit(shard, run(shard))?;
         }
         return Ok(());
     }
 
-    run_shards_sync::<StdSync, _>(
-        &run_shard,
-        first_shard,
-        stop_shard,
-        workers,
-        workers * 2,
-        emit,
-    )
+    run_shards_sync::<StdSync, _>(&run, first_shard, stop_shard, workers, workers * 2, emit)
 }
 
 /// The claim-gate/bounded-channel/in-order-writer core of [`run_shards`],
@@ -1206,11 +1220,74 @@ where
     }
 }
 
+/// Derives the seed of cell `index` from the master seed: SplitMix64 over
+/// the pair, so neighbouring indices get statistically independent streams
+/// and the mapping is stable across thread counts, platforms and runs.
+pub fn cell_seed(master: u64, index: usize) -> u64 {
+    let mut z = master ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Runs the cells of shard `shard` in index order on the calling thread.
+fn run_shard(
+    cells: &[PlannedCell],
+    config: &SweepConfig,
+    layout: ShardLayout,
+    shard: usize,
+) -> Vec<CellResult> {
+    layout
+        .shard_range(shard)
+        .map(|index| run_cell(&cells[index], index, config))
+        .collect()
+}
+
+/// Runs one cell: derives its seed from the *global* cell index, catches
+/// panics, records wall time.  The global index is what makes a resumed or
+/// dispatched sweep's cells byte-identical to an uninterrupted one's.
+fn run_cell(cell: &PlannedCell, index: usize, config: &SweepConfig) -> CellResult {
+    let seed = cell_seed(config.seed, index);
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (cell.run)(seed)))
+        .map_err(|payload| panic_message(payload.as_ref()));
+    CellResult {
+        spec: cell.spec.clone(),
+        seed,
+        outcome,
+        wall: started.elapsed(),
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "cell panicked".to_string()
+    }
+}
+
+/// Worker threads actually worth spawning for `requested` threads over
+/// `cells` cells: bounded by the cell count and by hardware parallelism.
+/// More workers than hardware threads cannot make a CPU-bound sweep
+/// faster; they only add spawn cost, context switching and lock pressure
+/// on the shared view caches.  The hardware probe is cached —
+/// `available_parallelism` re-reads cgroup state on every call, which is
+/// measurable at per-sweep granularity.
+fn effective_workers(requested: usize, cells: usize) -> usize {
+    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let hardware = *HARDWARE
+        .get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, usize::from));
+    requested.min(cells).min(hardware).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::{CellOutcome, CellSpec};
-    use crate::executor;
     use crate::scenario::Scenario;
     use std::sync::atomic::AtomicU64;
 
@@ -1279,9 +1356,71 @@ mod tests {
     }
 
     #[test]
+    fn seeds_are_stable_and_spread() {
+        let a = cell_seed(1, 0);
+        let b = cell_seed(1, 1);
+        assert_ne!(a, b);
+        assert_eq!(cell_seed(1, 7), cell_seed(1, 7));
+        assert_ne!(cell_seed(1, 7), cell_seed(2, 7));
+    }
+
+    #[test]
+    fn parallel_results_match_sequential_in_order_and_content() {
+        // One-cell shards: 40 shards keep every thread count below on the
+        // worker pool rather than the one-worker loop.
+        let sequential = collect(&SynthScenario, &config(40, 1, 1)).unwrap();
+        for threads in [2, 4, 16] {
+            let parallel = collect(&SynthScenario, &config(40, threads, 1)).unwrap();
+            assert_eq!(sequential.cells.len(), parallel.cells.len());
+            for (s, p) in sequential.cells.iter().zip(&parallel.cells) {
+                assert_eq!(s.spec, p.spec);
+                assert_eq!(s.seed, p.seed);
+                assert_eq!(s.outcome, p.outcome);
+            }
+            assert_eq!(
+                sequential.deterministic_json(),
+                parallel.deterministic_json()
+            );
+        }
+    }
+
+    #[test]
+    fn panics_are_isolated_and_recorded() {
+        let report = collect(&SynthScenario, &config(40, 4, 2)).unwrap();
+        assert_eq!(report.panicked(), 1);
+        assert_eq!(report.failed(), 1);
+        assert_eq!(report.passed(), 38);
+        let panicked = &report.cells[7];
+        assert_eq!(panicked.outcome.as_ref().unwrap_err(), "synthetic panic 7");
+    }
+
+    #[test]
+    fn effective_workers_is_clamped_by_cells_and_hardware() {
+        // Zero requested still yields one worker.
+        assert_eq!(effective_workers(0, 10), 1);
+        // The cell count caps the workers whatever was requested.
+        assert!(effective_workers(64, 2) <= 2);
+        assert_eq!(effective_workers(64, 0), 1);
+        // Hardware caps an oversubscribed request; requesting fewer than the
+        // hardware offers is honoured exactly.
+        let hardware = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+        assert!(effective_workers(1024, 1024) <= hardware);
+        assert_eq!(effective_workers(1, 1024), 1);
+        if hardware >= 2 {
+            assert_eq!(effective_workers(2, 1024), 2);
+        }
+    }
+
+    #[test]
+    fn more_threads_than_cells_is_fine() {
+        let report = collect(&SynthScenario, &config(3, 64, 1)).unwrap();
+        assert_eq!(report.cells.len(), 3);
+    }
+
+    #[test]
     fn streamed_bytes_equal_the_in_memory_rendering() {
         let config = config(23, 1, 4);
-        let report = executor::execute(&SynthScenario, &config).unwrap();
+        let report = collect(&SynthScenario, &config).unwrap();
 
         let mut stream = ReportStream::begin(Vec::new(), "synth", &config).unwrap();
         for chunk in report.cells.chunks(4) {
@@ -1313,7 +1452,7 @@ mod tests {
 
     #[test]
     fn streaming_run_matches_in_memory_execute_across_threads() {
-        let reference = executor::execute(&SynthScenario, &config(23, 1, 4))
+        let reference = collect(&SynthScenario, &config(23, 1, 4))
             .unwrap()
             .deterministic_json();
         for threads in [1, 3] {
@@ -1461,9 +1600,6 @@ mod tests {
         // alone is strictly less than the whole sweep.
         assert!(resumed.cells_run < resumed.cell_count);
         assert!(resumed.cumulative_wall > resumed.total_wall);
-        assert!(resumed
-            .bench_snapshot_json()
-            .contains(&format!("\"cells\": {}", resumed.cell_count)));
         assert_eq!(
             std::fs::read(&full).unwrap(),
             std::fs::read(&killed).unwrap(),

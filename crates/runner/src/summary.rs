@@ -30,7 +30,7 @@ pub const SCHEMA_V3: &str = "ld-runner/report/v3";
 pub struct CellSummary {
     /// The cell's stable identifier.
     pub id: String,
-    /// The per-cell seed the executor derived.
+    /// The per-cell seed the sweep pipeline derived.
     pub seed: u64,
     /// `"completed"` or `"panicked"`.
     pub status: String,

@@ -5,10 +5,10 @@
 //! ldx run <scenario> | --file <scenario.json>
 //!                    [--max-n N] [--threads T] [--seed S] [--radius R]
 //!                    [--node-budget N] [--view-budget N] [--shard-size N]
-//!                    [--out FILE.json] [--csv FILE.csv] [--no-bench-json]
+//!                    [--out FILE.json] [--csv FILE.csv]
 //!                    [--deterministic] [--max-shards N]
 //! ldx resume <report.json> [--file <scenario.json>] [--threads T]
-//!                          [--no-bench-json] [--max-shards N]
+//!                          [--max-shards N]
 //! ldx diff <a.json> <b.json>
 //! ldx analyze [--deny-all] [--json] [--root DIR]
 //! ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]
@@ -17,7 +17,7 @@
 //!                       [config flags as for run]
 //! ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]
 //!                         [--lease-ms MS] [--batch N] [--max-attempts N]
-//!                         [--no-bench-json] [config flags as for run]
+//!                         [config flags as for run]
 //! ldx shutdown [--addr HOST:PORT]
 //! ```
 //!
@@ -34,7 +34,9 @@
 //! produce byte-identical files — CI diffs exactly that.  `diff` compares
 //! any two persisted reports (any schema version: v1, v2 or v3) cell by
 //! cell.  The process exits nonzero when any cell fails or panics, and
-//! after an incomplete (`--max-shards`-limited) run.
+//! after an incomplete (`--max-shards`-limited) run.  A reader that closes
+//! stdout early (`ldx run … | head -1`) only ends the console output: the
+//! sweep still completes and decides the exit status.
 //!
 //! `serve` starts the long-running daemon (`ld-serve`): a priority job
 //! queue over the same streaming pipeline, with per-job spool files so a
@@ -70,6 +72,25 @@ use std::time::{Duration, Instant};
 
 /// The default daemon address shared by `serve`, `submit` and `shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:7117";
+
+/// `println!` that treats a closed stdout as the end of output.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes console output.  A reader that went away (`EPIPE`, as after
+/// `ldx run … | head -1`) ends the output without a panic; the command
+/// carries on and exits with the status its work decides.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("ldx: writing stdout: {e}");
+        }
+    }
+}
 
 /// Decodes a daemon response body as JSON.
 fn parse_response(response: &client::Response) -> Result<Json, CliError> {
@@ -125,7 +146,7 @@ impl CliError {
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage:\n  ldx list [--json]\n  ldx run <scenario> | --file <scenario.json>\n                     [--max-n N] [--threads T] [--seed S] [--radius R]\n                     [--node-budget N] [--view-budget N] [--shard-size N]\n                     [--out FILE.json] [--csv FILE.csv] [--no-bench-json]\n                     [--deterministic] [--max-shards N]\n  ldx resume <report.json> [--file <scenario.json>] [--threads T]\n             [--no-bench-json] [--max-shards N]\n  ldx diff <a.json> <b.json>\n  ldx analyze [--deny-all] [--json] [--root DIR]\n  ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]\n  ldx submit <scenario> | --file <scenario.json>\n             [--addr HOST:PORT] [--priority P] [--wait] [--out FILE]\n             [config flags as for run]\n  ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]\n               [--lease-ms MS] [--batch N] [--max-attempts N]\n               [--no-bench-json] [config flags as for run]\n  ldx shutdown [--addr HOST:PORT]\n\nscenario documents (--file) follow docs/DSL.md, schema ld-runner/scenario/v1\n\nscenarios:\n",
+        "usage:\n  ldx list [--json]\n  ldx run <scenario> | --file <scenario.json>\n                     [--max-n N] [--threads T] [--seed S] [--radius R]\n                     [--node-budget N] [--view-budget N] [--shard-size N]\n                     [--out FILE.json] [--csv FILE.csv]\n                     [--deterministic] [--max-shards N]\n  ldx resume <report.json> [--file <scenario.json>] [--threads T]\n             [--max-shards N]\n  ldx diff <a.json> <b.json>\n  ldx analyze [--deny-all] [--json] [--root DIR]\n  ldx serve [--addr HOST:PORT] [--spool DIR] [--workers N]\n  ldx submit <scenario> | --file <scenario.json>\n             [--addr HOST:PORT] [--priority P] [--wait] [--out FILE]\n             [config flags as for run]\n  ldx dispatch <scenario> [--workers N | --worker HOST:PORT ...] [--out FILE]\n               [--lease-ms MS] [--batch N] [--max-attempts N]\n               [config flags as for run]\n  ldx shutdown [--addr HOST:PORT]\n\nscenario documents (--file) follow docs/DSL.md, schema ld-runner/scenario/v1\n\nscenarios:\n",
     );
     for scenario in scenarios::all() {
         out.push_str(&format!(
@@ -143,7 +164,6 @@ struct RunArgs {
     config: SweepConfig,
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
-    bench_json: bool,
     deterministic: bool,
     max_shards: Option<usize>,
 }
@@ -219,7 +239,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
         config: SweepConfig::default(),
         out: None,
         csv: None,
-        bench_json: true,
         deterministic: false,
         max_shards: None,
     };
@@ -253,7 +272,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             }
             "--out" => run.out = Some(PathBuf::from(value("--out")?)),
             "--csv" => run.csv = Some(PathBuf::from(value("--csv")?)),
-            "--no-bench-json" => run.bench_json = false,
             "--deterministic" => run.deterministic = true,
             other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
@@ -294,16 +312,8 @@ fn resolve_scenario(
     }
 }
 
-/// The workspace root this binary was built from; `BENCH_runner.json` lands
-/// there so the perf trajectory lives next to the sources.
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-}
-
 fn print_summary(summary: &StreamSummary) {
-    println!(
+    say!(
         "{}: {} cells in {} shard(s) on {} thread(s) in {:.2?}{}",
         summary.scenario,
         summary.cell_count,
@@ -319,41 +329,34 @@ fn print_summary(summary: &StreamSummary) {
             String::new()
         }
     );
-    println!(
+    say!(
         "  passed {}  failed {}  panicked {}  budget-exhausted {}",
-        summary.passed, summary.failed, summary.panicked, summary.exhausted
+        summary.passed,
+        summary.failed,
+        summary.panicked,
+        summary.exhausted
     );
-    println!(
+    say!(
         "  canonical-view cache: {} hits, {} misses, hit rate {:.1}%",
         summary.cache.hits,
         summary.cache.misses,
         100.0 * summary.cache.hit_rate()
     );
     for (id, what) in &summary.failures {
-        println!("  FAIL {id} -> {what}");
+        say!("  FAIL {id} -> {what}");
     }
     if !summary.completed {
-        println!(
+        say!(
             "  INTERRUPTED after {}/{} shards — continue with `ldx resume`",
-            summary.shards_written, summary.shard_count
+            summary.shards_written,
+            summary.shard_count
         );
     }
 }
 
-fn write_bench_snapshot(summary: &StreamSummary) {
-    // The snapshot is best-effort: the repo root is baked in at compile
-    // time, so a relocated binary must not fail an otherwise green run.
-    let bench = repo_root().join("BENCH_runner.json");
-    match std::fs::write(&bench, summary.bench_snapshot_json()) {
-        Ok(()) => println!("  perf snapshot: {}", bench.display()),
-        Err(e) => eprintln!("ldx: skipping perf snapshot {}: {e}", bench.display()),
-    }
-}
-
-fn finish(summary: &StreamSummary, bench_json: bool) -> bool {
-    if bench_json && summary.completed {
-        write_bench_snapshot(summary);
-    }
+/// Whether a sweep succeeded: it ran to the end with no failing or
+/// panicking cell.
+fn succeeded(summary: &StreamSummary) -> bool {
     summary.completed && summary.failed == 0 && summary.panicked == 0
 }
 
@@ -370,11 +373,11 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     };
     let summary = stream::run(scenario.as_ref(), &run.config, &out, &opts)?;
     print_summary(&summary);
-    println!("  report: {}", out.display());
+    say!("  report: {}", out.display());
     if let Some(csv) = &run.csv {
-        println!("  csv: {}", csv.display());
+        say!("  csv: {}", csv.display());
     }
-    Ok(finish(&summary, run.bench_json))
+    Ok(succeeded(&summary))
 }
 
 fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
@@ -384,7 +387,6 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
             .ok_or_else(|| CliError::Usage("resume: missing report path".to_string()))?,
     );
     let mut threads = None;
-    let mut bench_json = true;
     let mut max_shards = None;
     let mut file: Option<PathBuf> = None;
     while let Some(flag) = iter.next() {
@@ -412,7 +414,6 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
                         .map_err(|e| CliError::Usage(format!("--max-shards: {e}")))?,
                 );
             }
-            "--no-bench-json" => bench_json = false,
             other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
@@ -438,8 +439,8 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
         None => stream::resume(&report, threads, max_shards)?,
     };
     print_summary(&summary);
-    println!("  report: {}", report.display());
-    Ok(finish(&summary, bench_json))
+    say!("  report: {}", report.display());
+    Ok(succeeded(&summary))
 }
 
 /// Compares two persisted reports (any schema version) and prints what
@@ -525,20 +526,24 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
         ));
     }
     if a.schema != b.schema {
-        println!(
+        say!(
             "note: comparing across schemas ({} vs {})",
-            a.schema, b.schema
+            a.schema,
+            b.schema
         );
     }
     if differences.is_empty() {
-        println!(
+        say!(
             "reports are equivalent: {} cells, {} passed, {} failed, {} panicked",
-            a.cell_count, a.passed, a.failed, a.panicked
+            a.cell_count,
+            a.passed,
+            a.failed,
+            a.panicked
         );
         Ok(true)
     } else {
         for difference in &differences {
-            println!("DIFF {difference}");
+            say!("DIFF {difference}");
         }
         Ok(false)
     }
@@ -571,10 +576,10 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
     };
     let analysis = ld_analyze::analyze_root(&root)?;
     if json {
-        print!("{}", analysis.to_json());
+        write_stdout(format_args!("{}", analysis.to_json()));
     } else {
         for finding in &analysis.findings {
-            println!(
+            say!(
                 "{}:{}: {} {}",
                 finding.file,
                 finding.line,
@@ -583,7 +588,7 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
             );
         }
         for sup in &analysis.suppressed {
-            println!(
+            say!(
                 "{}:{}: {} suppressed: {}",
                 sup.file,
                 sup.line,
@@ -591,7 +596,7 @@ fn cmd_analyze(args: &[String]) -> Result<bool, CliError> {
                 sup.reason
             );
         }
-        println!(
+        say!(
             "ldx analyze: {} finding(s), {} suppressed, {} files scanned",
             analysis.findings.len(),
             analysis.suppressed.len(),
@@ -653,14 +658,14 @@ fn cmd_serve(args: &[String]) -> Result<bool, CliError> {
     // The address line goes first on stdout (line-buffered, so it flushes
     // immediately): scripts bind `--addr 127.0.0.1:0` and parse the
     // ephemeral port from here.
-    println!("ld-serve listening on {}", server.local_addr());
-    println!(
+    say!("ld-serve listening on {}", server.local_addr());
+    say!(
         "  spool: {}  workers: {}",
         options.spool.display(),
         options.workers
     );
     server.run()?;
-    println!("ld-serve drained");
+    say!("ld-serve drained");
     Ok(true)
 }
 
@@ -749,9 +754,9 @@ fn cmd_submit(args: &[String]) -> Result<bool, CliError> {
         .get("id")
         .and_then(ld_runner::json::Json::as_u64)
         .ok_or_else(|| "submit: response without a job id".to_string())?;
-    println!("job {id} queued on {addr} (priority {})", spec.priority);
+    say!("job {id} queued on {addr} (priority {})", spec.priority);
     if !wait {
-        println!("  status: GET http://{addr}/jobs/{id}");
+        say!("  status: GET http://{addr}/jobs/{id}");
         return Ok(true);
     }
     // Poll with capped exponential backoff: quick jobs are picked up within
@@ -793,11 +798,11 @@ fn cmd_submit(args: &[String]) -> Result<bool, CliError> {
     let report = client::request(&addr, "GET", &format!("/jobs/{id}/report"), None)?;
     let out = out.unwrap_or_else(|| PathBuf::from(format!("ldx-{scenario}-job{id}.json")));
     std::fs::write(&out, &report.body).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
+    say!(
         "job {id} completed in {:.2?} after {polls} status poll(s)",
         waited.elapsed()
     );
-    println!("  report: {}", out.display());
+    say!("  report: {}", out.display());
     Ok(true)
 }
 
@@ -916,7 +921,6 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
     let mut lease_ms = 30_000u64;
     let mut batch = 2usize;
     let mut max_attempts = 4u32;
-    let mut bench_json = true;
     while let Some(flag) = iter.next() {
         if parse_config_flag(&mut config, flag, &mut iter).map_err(CliError::Usage)? {
             continue;
@@ -964,7 +968,6 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
                     ));
                 }
             }
-            "--no-bench-json" => bench_json = false,
             other => return Err(CliError::Usage(format!("dispatch: unknown flag {other}"))),
         }
     }
@@ -990,12 +993,12 @@ fn cmd_dispatch(args: &[String]) -> Result<bool, CliError> {
     stop_local_workers(spawned);
     let (summary, stats) = result?;
     print_summary(&summary);
-    println!("  report: {}", out.display());
-    println!(
+    say!("  report: {}", out.display());
+    say!(
         "  dispatch: {worker_count} worker(s), {} shard(s) reassigned, {} stale result(s) rejected, {} worker failure(s)",
         stats.reassigned, stats.stale_rejected, stats.worker_failures
     );
-    Ok(finish(&summary, bench_json))
+    Ok(succeeded(&summary))
 }
 
 /// `ldx shutdown`: ask the daemon to drain.
@@ -1015,7 +1018,7 @@ fn cmd_shutdown(args: &[String]) -> Result<bool, CliError> {
     }
     let response = client::request(&addr, "POST", "/shutdown", None)?;
     if response.status == 200 {
-        println!("ld-serve on {addr} is draining");
+        say!("ld-serve on {addr} is draining");
         Ok(true)
     } else {
         Err(CliError::Message(format!(
@@ -1029,8 +1032,10 @@ fn cmd_shutdown(args: &[String]) -> Result<bool, CliError> {
 /// `ldx list [--json]`.
 fn cmd_list(args: &[String]) -> Result<bool, CliError> {
     match args {
-        [] => print!("{}", usage()),
-        [flag] if flag == "--json" => print!("{}", scenarios::listing_json().render()),
+        [] => write_stdout(format_args!("{}", usage())),
+        [flag] if flag == "--json" => {
+            write_stdout(format_args!("{}", scenarios::listing_json().render()));
+        }
         _ => return Err(CliError::Usage("list: only --json is accepted".to_string())),
     }
     Ok(true)

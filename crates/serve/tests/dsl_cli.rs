@@ -29,14 +29,7 @@ fn ldx() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ldx"))
 }
 
-const RUN_FLAGS: &[&str] = &[
-    "--max-n",
-    "24",
-    "--threads",
-    "2",
-    "--deterministic",
-    "--no-bench-json",
-];
+const RUN_FLAGS: &[&str] = &["--max-n", "24", "--threads", "2", "--deterministic"];
 
 #[test]
 fn run_file_reproduces_the_builtin_report_bytes() {
@@ -292,8 +285,8 @@ fn submit_file_roundtrips_through_the_daemon() {
         .expect("spawn ldx run");
     assert!(status.success());
 
-    // `submit` takes config flags only (`--deterministic`/`--no-bench-json`
-    // are run-local; the daemon always streams deterministically).
+    // `submit` takes config flags only (`--deterministic` is run-local;
+    // the daemon always streams deterministically).
     let fetched_out = dir.join("fetched.json");
     let output = ldx()
         .arg("submit")

@@ -27,7 +27,6 @@ fn run_args(out: &std::path::Path) -> Vec<String> {
         "--shard-size",
         "4",
         "--deterministic",
-        "--no-bench-json",
         "--out",
     ]
     .iter()
@@ -91,7 +90,7 @@ fn sigterm_mid_sweep_then_resume_byte_matches_uninterrupted() {
     assert!(interrupted, "could not interrupt the sweep mid-run");
 
     let status = ldx()
-        .args(["resume", &killed.to_string_lossy(), "--no-bench-json"])
+        .args(["resume", &killed.to_string_lossy()])
         .stdout(Stdio::null())
         .status()
         .expect("spawn ldx resume");

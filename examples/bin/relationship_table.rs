@@ -4,7 +4,7 @@
 //! The four model combinations (B / ¬B) × (C / ¬C) are the four cells of
 //! the `relationship-table` scenario; each runs its witnessing experiment
 //! (Section 2 trees for (B), the Section 3 zoo for (C), the simulation `A*`
-//! for the free quadrant) and the sweep executor runs them in parallel.
+//! for the free quadrant) and the sweep pipeline runs them in parallel.
 //!
 //! Run with `cargo run -p ld-examples --bin relationship_table`.
 
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: 4,
         ..SweepConfig::default()
     };
-    let report = sweep_executor::execute(&scenarios::RelationshipTable, &config)?;
+    let report = stream::collect(&scenarios::RelationshipTable, &config)?;
 
     let verdict = |quadrant: &str| -> &'static str {
         report

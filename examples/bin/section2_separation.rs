@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: std::thread::available_parallelism().map_or(1, usize::from),
         ..SweepConfig::default()
     };
-    let report = sweep_executor::execute(&scenarios::Section2Sweep, &config)?;
+    let report = stream::collect(&scenarios::Section2Sweep, &config)?;
 
     let (verifier_ok, verifier_total) = count(&report, |c| c.spec.param("alg") == Some("verifier"));
     println!(

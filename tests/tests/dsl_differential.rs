@@ -1,7 +1,7 @@
 //! Differential conformance for the committed DSL re-expressions: the
 //! scenario documents under `scenarios/` must produce reports
 //! **byte-identical** to the built-in scenarios they re-express — through
-//! the in-memory reference executor and through the streaming writer, at
+//! the in-memory reporter and through the streaming writer, at
 //! every thread count.
 //!
 //! This is the contract that makes the DSL trustworthy: a committed
@@ -10,7 +10,7 @@
 //! end-to-end through the `ldx` binary.)
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
-use ld_runner::{executor, scenarios, Scenario, ScenarioDoc, SweepConfig};
+use ld_runner::{scenarios, Scenario, ScenarioDoc, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,10 +69,10 @@ fn assert_byte_identical(
     assert_eq!(doc.name(), builtin_name);
     let builtin = scenarios::find(builtin_name).expect("builtin is registered");
 
-    let reference = executor::execute(builtin.as_ref(), &make_config(1))
+    let reference = stream::collect(builtin.as_ref(), &make_config(1))
         .unwrap_or_else(|e| panic!("{builtin_name}: {e}"))
         .deterministic_json();
-    let from_doc = executor::execute(&doc, &make_config(1))
+    let from_doc = stream::collect(&doc, &make_config(1))
         .unwrap_or_else(|e| panic!("{builtin_name} (doc): {e}"))
         .deterministic_json();
     assert_eq!(
@@ -119,7 +119,7 @@ fn new_families_doc_is_deterministic_across_threads_and_paths() {
         shard_size: 4,
         ..SweepConfig::default()
     };
-    let report = executor::execute(&doc, &cfg(1)).unwrap();
+    let report = stream::collect(&doc, &cfg(1)).unwrap();
     assert_eq!(report.failed(), 0, "new-families cells must pass");
     assert_eq!(report.panicked(), 0);
     let reference = report.deterministic_json();
@@ -143,7 +143,7 @@ fn new_families_doc_is_deterministic_across_threads_and_paths() {
 #[test]
 fn interrupted_dsl_sweeps_resume_to_identical_bytes() {
     let doc = ScenarioDoc::from_text(SECTION2_DOC).expect("committed scenario parses");
-    let reference = executor::execute(&doc, &config(24, 1))
+    let reference = stream::collect(&doc, &config(24, 1))
         .unwrap()
         .deterministic_json();
     let path = temp_path("section2-resume");

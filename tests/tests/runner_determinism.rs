@@ -1,26 +1,32 @@
 //! The runner's core contract: a sweep's deterministic report is a pure
 //! function of (scenario, seed, max_n).  Thread count, scheduling order and
 //! cache state must never leak into it.
+//!
+//! A plan of one shard runs on one worker, so every config here sets a
+//! `shard_size` that gives at least two shards per thread: the parallel
+//! runs must really go through the worker pool.
 
-use local_decision::runner::{executor, scenarios, SweepConfig};
+use local_decision::runner::{scenarios, stream, SweepConfig};
 
 fn config(threads: usize) -> SweepConfig {
     SweepConfig {
         max_n: 48,
         threads,
         seed: 0xdecade,
+        // >= 100 cells in shards of 4: at least 16 shards for 8 threads.
+        shard_size: 4,
         ..SweepConfig::default()
     }
 }
 
 #[test]
 fn parallel_section2_report_is_byte_identical_to_sequential() {
-    let sequential = executor::execute(&scenarios::Section2Sweep, &config(1)).unwrap();
+    let sequential = stream::collect(&scenarios::Section2Sweep, &config(1)).unwrap();
     let reference = sequential.deterministic_json();
     assert!(sequential.cells.len() >= 100, "{}", sequential.cells.len());
 
     for threads in [2, 4, 8] {
-        let parallel = executor::execute(&scenarios::Section2Sweep, &config(threads)).unwrap();
+        let parallel = stream::collect(&scenarios::Section2Sweep, &config(threads)).unwrap();
         assert_eq!(
             reference,
             parallel.deterministic_json(),
@@ -33,29 +39,32 @@ fn parallel_section2_report_is_byte_identical_to_sequential() {
 fn reports_depend_on_the_master_seed_only_through_cells() {
     // Same seed twice: identical. Different seed: shuffled-id cells change
     // their per-cell seeds, so the documents differ.
-    let a = executor::execute(&scenarios::Section2Sweep, &config(2)).unwrap();
-    let b = executor::execute(&scenarios::Section2Sweep, &config(2)).unwrap();
+    let a = stream::collect(&scenarios::Section2Sweep, &config(2)).unwrap();
+    let b = stream::collect(&scenarios::Section2Sweep, &config(2)).unwrap();
     assert_eq!(a.deterministic_json(), b.deterministic_json());
 
     let other = SweepConfig {
         seed: 1,
         ..config(2)
     };
-    let c = executor::execute(&scenarios::Section2Sweep, &other).unwrap();
+    let c = stream::collect(&scenarios::Section2Sweep, &other).unwrap();
     assert_ne!(a.deterministic_json(), c.deterministic_json());
 }
 
 #[test]
 fn every_builtin_scenario_is_parallel_deterministic() {
     for scenario in scenarios::all() {
+        // One-cell shards: the 4-cell relationship table is the smallest
+        // plan, and still reaches all 4 workers.
         let small = SweepConfig {
             max_n: 24,
             threads: 1,
             seed: 5,
+            shard_size: 1,
             ..SweepConfig::default()
         };
-        let sequential = executor::execute(scenario.as_ref(), &small).unwrap();
-        let parallel = executor::execute(
+        let sequential = stream::collect(scenario.as_ref(), &small).unwrap();
+        let parallel = stream::collect(
             scenario.as_ref(),
             &SweepConfig {
                 threads: 4,

@@ -1,15 +1,16 @@
 //! Differential conformance for the streaming pipeline: for **every**
 //! built-in scenario, the sharded streaming writer must produce output
-//! byte-identical to the legacy in-memory reporter — at every thread
-//! count, and across a mid-sweep interruption plus resume.
+//! byte-identical to the in-memory reporter — at every thread count, and
+//! across a mid-sweep interruption plus resume.
 //!
-//! This is the contract that lets the two execution paths coexist: the
-//! in-memory path stays the simple reference (tests, benches, library
-//! callers), the streaming path is what `ldx` ships, and neither can
-//! drift without this suite failing.
+//! Both sides run the same worker pool; what differs is the renderer.
+//! `stream::collect` hands the cells to `RunReport`, which renders the
+//! whole document at once, while `stream::run` appends it shard by shard
+//! through `ReportStream` (what `ldx` ships).  Neither renderer can drift
+//! without this suite failing.
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
-use ld_runner::{executor, scenarios, SweepConfig};
+use ld_runner::{scenarios, SweepConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,7 +47,7 @@ const DETERMINISTIC: StreamOptions = StreamOptions {
 #[test]
 fn streaming_matches_in_memory_for_every_scenario_at_every_thread_count() {
     for scenario in scenarios::all() {
-        let reference = executor::execute(scenario.as_ref(), &config(1))
+        let reference = stream::collect(scenario.as_ref(), &config(1))
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
             .deterministic_json();
         for threads in [1, 2, 8] {
@@ -74,7 +75,7 @@ fn streaming_matches_in_memory_for_every_scenario_at_every_thread_count() {
 #[test]
 fn interrupted_and_resumed_sweeps_match_for_every_scenario() {
     for scenario in scenarios::all() {
-        let reference = executor::execute(scenario.as_ref(), &config(1))
+        let reference = stream::collect(scenario.as_ref(), &config(1))
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
             .deterministic_json();
         let path = temp_path(&format!("{}-resume", scenario.name()));
@@ -128,7 +129,7 @@ fn full_streamed_reports_carry_an_equivalent_deterministic_core() {
     .unwrap();
     assert!(summary.completed);
     let streamed = ReportSummary::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let in_memory = executor::execute(scenario.as_ref(), &config(1)).unwrap();
+    let in_memory = stream::collect(scenario.as_ref(), &config(1)).unwrap();
     let reference = ReportSummary::from_json(&in_memory.to_json()).unwrap();
     assert_eq!(streamed, reference);
     cleanup(&path);
