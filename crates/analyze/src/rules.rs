@@ -176,14 +176,18 @@ impl Scope {
         // panic-isolation contract (`catch_unwind` per cell), so an
         // `.expect` on a construction invariant surfaces as a recorded
         // per-cell failure in the report, never as a crashed sweep.
-        let runner_or_local_lib = (path.starts_with("crates/runner/src/")
-            || path.starts_with("crates/local/src/"))
+        // The serve library runs the daemon's accept loop, job workers and
+        // dispatch coordinator: a panic there drops a connection or a job
+        // rather than a cell, with no per-cell isolation to record it.
+        let no_unwrap_lib = (path.starts_with("crates/runner/src/")
+            || path.starts_with("crates/local/src/")
+            || path.starts_with("crates/serve/src/"))
             && !path.contains("/bin/")
             && !path.starts_with("crates/runner/src/scenarios/");
         // The bitset canon kernel sits on every sweep's hot path and is
         // differenced byte-for-byte against the oracle; a panic in it
         // takes the whole dedup pipeline down, so it gets the same
-        // no-unwrap discipline as the runner and local libraries.
+        // no-unwrap discipline as the runner, local and serve libraries.
         let canon_kernel = path == "crates/graph/src/fastcanon.rs";
         Scope {
             d001: first_party,
@@ -191,7 +195,7 @@ impl Scope {
             // Every crate root in the workspace, vendored stand-ins
             // included: they are first-party code wearing external names.
             d003: path == "src/lib.rs" || path.ends_with("/src/lib.rs"),
-            d004: runner_or_local_lib || canon_kernel,
+            d004: no_unwrap_lib || canon_kernel,
             d005: first_party,
         }
     }
@@ -564,10 +568,16 @@ mod tests {
     }
 
     #[test]
-    fn d004_scope_is_runner_and_local_libraries() {
+    fn d004_scope_is_runner_local_and_serve_libraries() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let (findings, _) = run("crates/runner/src/x.rs", src);
-        assert_eq!(rules_of(&findings), [Rule::D004]);
+        for in_scope in [
+            "crates/runner/src/x.rs",
+            "crates/local/src/x.rs",
+            "crates/serve/src/http.rs",
+        ] {
+            let (findings, _) = run(in_scope, src);
+            assert_eq!(rules_of(&findings), [Rule::D004], "{in_scope}");
+        }
         // The canon kernel is individually in scope; its sibling graph
         // modules stay exempt.
         let (findings, _) = run("crates/graph/src/fastcanon.rs", src);
@@ -575,6 +585,9 @@ mod tests {
         for exempt in [
             "crates/graph/src/x.rs",
             "crates/runner/src/bin/ldx.rs",
+            "crates/serve/src/bin/ldx.rs",
+            "crates/serve/tests/http_proptest.rs",
+            "crates/runner/src/scenarios/section2.rs",
             "tests/src/x.rs",
         ] {
             let (findings, _) = run(exempt, src);

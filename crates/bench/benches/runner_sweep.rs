@@ -18,6 +18,7 @@ fn config(threads: usize) -> SweepConfig {
 
 fn write_perf_snapshot() {
     use std::time::Instant;
+    let section2 = scenarios::find("section2-sweep").expect("section2-sweep is registered");
     let thread_counts = [1usize, 2, 4, 8];
     // Thread-count records are measured *round-robin*, not in sequential
     // blocks: one timed run of every config per round.  Slow monotone drift
@@ -25,7 +26,7 @@ fn write_perf_snapshot() {
     // every thread count equally instead of penalising whichever config
     // happens to be measured last.
     for &threads in &thread_counts {
-        let _ = stream::collect(&scenarios::Section2Sweep, &config(threads));
+        let _ = stream::collect(section2.as_ref(), &config(threads));
     }
     const ROUNDS: u64 = 120;
     let mut totals = vec![0u128; thread_counts.len()];
@@ -33,7 +34,7 @@ fn write_perf_snapshot() {
         for (slot, &threads) in thread_counts.iter().enumerate() {
             let started = Instant::now();
             std::hint::black_box(
-                stream::collect(&scenarios::Section2Sweep, &config(threads))
+                stream::collect(section2.as_ref(), &config(threads))
                     .unwrap()
                     .passed(),
             );
@@ -62,6 +63,7 @@ fn write_perf_snapshot() {
 
 fn bench(c: &mut Criterion) {
     write_perf_snapshot();
+    let section2 = scenarios::find("section2-sweep").expect("section2-sweep is registered");
 
     let mut group = c.benchmark_group("runner_sweep");
     group
@@ -71,7 +73,7 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_function(format!("section2_sweep_threads_{threads}"), |b| {
             b.iter(|| {
-                stream::collect(&scenarios::Section2Sweep, &config(threads))
+                stream::collect(section2.as_ref(), &config(threads))
                     .unwrap()
                     .passed()
             });

@@ -8,12 +8,14 @@
 //! layer — the sharded pipeline, in-memory collection, checkpoint resume, the
 //! service spool — treats it exactly like a built-in module.
 //!
-//! The load-bearing contract: the committed `scenarios/section2-sweep.json`
-//! and `scenarios/section2-sweep-r3.json` re-express those built-ins
-//! *byte-identically* — their stanzas call the same `pub(crate)` planners
-//! the built-in modules call, so the cell order, specs and outcomes cannot
-//! diverge.  `tests/tests/dsl_differential.rs` and a CI byte-diff smoke pin
-//! it.
+//! The committed `scenarios/section2-sweep.json` and
+//! `scenarios/section2-sweep-r3.json` *are* those built-ins: the registry
+//! ([`crate::scenarios::all`]) embeds both files and parses them with
+//! [`ScenarioDoc::from_text`], so each scenario has one definition.  Their
+//! stanzas call the `pub(crate)` Section 2 planners in
+//! [`crate::scenarios`].  `tests/tests/dsl_differential.rs` and a CI
+//! byte-diff smoke pin that a run from the registry and a run from the file
+//! produce the same bytes.
 //!
 //! Every malformed document maps to a typed [`DslError`] carrying a stable
 //! token and a process exit code, extending the [`ConfigError`] ladder
@@ -24,7 +26,10 @@
 use crate::cell::{CellOutcome, CellSpec};
 use crate::json::Json;
 use crate::scenario::{Plan, Scenario, SweepConfig, MAX_RADIUS};
-use crate::scenarios;
+use crate::scenarios::{
+    self, grid_profile_cells, layered_tree_cells, path_cells, path_coverage_cells,
+    promise_decider_cells, promise_views_only_cells, tree_family_cells,
+};
 use ld_constructions::section2::promise::CycleParamLabel;
 use ld_constructions::section2::Section2Label;
 use ld_deciders::fractional::{self, FractionalVerifier};
@@ -206,13 +211,14 @@ impl DslError {
 }
 
 /// The identifier regimes a `sweep` stanza may request — the same three
-/// the built-in Section 2 sweep exercises.
+/// the `section2-trees` stanza sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdRegime {
     /// Identifiers `0..n` in node order.
     Consecutive,
-    /// Identifiers `100..100+n`: deliberately large, in the spirit of the
-    /// built-in `shifted` regime.
+    /// Identifiers `100..100+n`: far above `R(r)` for the Section 2
+    /// parameters, so they deliberately violate assumption (B)'s spirit and
+    /// flip the Id-based decider to rejection.
     Shifted,
     /// A seeded random permutation of `0..n`.
     Shuffled,
@@ -230,7 +236,7 @@ impl IdRegime {
         }
     }
 
-    fn token(&self) -> &'static str {
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             IdRegime::Consecutive => "consecutive",
             IdRegime::Shifted => "shifted",
@@ -238,8 +244,8 @@ impl IdRegime {
         }
     }
 
-    /// Mirrors the built-in Section 2 regimes (`shifted` starts at 100).
-    fn assignment(&self, n: usize, seed: u64) -> IdAssignment {
+    /// The identifiers of an `n`-node instance; `seed` drives `shuffled`.
+    pub(crate) fn assignment(&self, n: usize, seed: u64) -> IdAssignment {
         match self {
             IdRegime::Consecutive => IdAssignment::consecutive(n),
             IdRegime::Shifted => IdAssignment::consecutive_from(n, 100),
@@ -455,14 +461,13 @@ impl Ladder {
 
 /// One workload stanza: a named cell-planning recipe plus its parameters.
 /// The `section2-*`, `paths`, `path-coverage`, `grid-profile`,
-/// `layered-tree-views` and `promise-views` stanzas call the *same*
-/// `pub(crate)` planners as the built-in scenarios, which is what makes the
-/// committed re-expressions byte-identical; `sweep` and
+/// `layered-tree-views` and `promise-views` stanzas call the `pub(crate)`
+/// Section 2 planners in [`crate::scenarios`]; they compose the registered
+/// `section2-sweep` and `section2-sweep-r3` documents.  `sweep` and
 /// `fractional-coloring` open the new families.
 ///
 /// Every stanza `radius` is a *default*, resolved through
-/// [`SweepConfig::radius_or`] — an explicit `--radius` still overrides it,
-/// exactly as it overrides the built-ins' natural radii.
+/// [`SweepConfig::radius_or`] — an explicit `--radius` still overrides it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// The `section2-sweep` layered-tree portion.
@@ -582,72 +587,35 @@ impl Workload {
         config: &SweepConfig,
     ) -> Result<(), String> {
         let budget = config.enumeration_budget();
+        let radius_or = |radius: &usize| config.radius_or(*radius);
         match self {
             Workload::Section2Trees { max_roots, radius } => {
                 let cache = caches.tree(plan);
-                scenarios::layered_tree_cells(
-                    plan,
-                    &cache,
-                    config,
-                    *max_roots,
-                    config.radius_or(*radius),
-                )?;
+                layered_tree_cells(plan, &cache, config, *max_roots, radius_or(radius))?;
             }
             Workload::Section2Promise { radius } => {
                 let cache = caches.promise(plan);
-                scenarios::promise_decider_cells(plan, &cache, config, config.radius_or(*radius));
+                promise_decider_cells(plan, &cache, config, radius_or(radius));
             }
             Workload::Paths { radius, step } => {
                 let cache = caches.structural(plan);
-                scenarios::path_cells(
-                    plan,
-                    &cache,
-                    config,
-                    config.radius_or(*radius),
-                    budget,
-                    *step,
-                );
+                path_cells(plan, &cache, config, radius_or(radius), budget, *step);
             }
             Workload::PathCoverage { radius } => {
                 let cache = caches.structural(plan);
-                scenarios::path_coverage_cells(
-                    plan,
-                    &cache,
-                    config,
-                    config.radius_or(*radius),
-                    budget,
-                );
+                path_coverage_cells(plan, &cache, config, radius_or(radius), budget);
             }
             Workload::GridProfile { radius } => {
                 let cache = caches.structural(plan);
-                scenarios::grid_profile_cells(
-                    plan,
-                    &cache,
-                    config,
-                    config.radius_or(*radius),
-                    budget,
-                );
+                grid_profile_cells(plan, &cache, config, radius_or(radius), budget);
             }
             Workload::LayeredTreeViews { radius, max_roots } => {
                 let cache = caches.tree(plan);
-                scenarios::tree_family_cells(
-                    plan,
-                    &cache,
-                    config,
-                    config.radius_or(*radius),
-                    budget,
-                    *max_roots,
-                )?;
+                tree_family_cells(plan, &cache, config, radius_or(radius), budget, *max_roots)?;
             }
             Workload::PromiseViews { radius } => {
                 let cache = caches.promise(plan);
-                scenarios::promise_views_only_cells(
-                    plan,
-                    &cache,
-                    config,
-                    config.radius_or(*radius),
-                    budget,
-                );
+                promise_views_only_cells(plan, &cache, config, radius_or(radius), budget);
             }
             Workload::Sweep {
                 family,
@@ -657,16 +625,8 @@ impl Workload {
                 decider,
             } => {
                 let cache = caches.structural(plan);
-                sweep_cells(
-                    plan,
-                    &cache,
-                    config,
-                    family,
-                    ladder,
-                    config.radius_or(*radius),
-                    *ids,
-                    *decider,
-                );
+                let radius = radius_or(radius);
+                sweep_cells(plan, &cache, config, family, ladder, radius, *ids, *decider);
             }
             Workload::FractionalColoring { ladder } => {
                 let cache = caches.fractional(plan);
@@ -678,9 +638,9 @@ impl Workload {
 }
 
 /// Lazily shared caches, one per label family, registered with the plan on
-/// first use — which reproduces the built-ins' cache registration order
-/// when a document re-expresses one (the `section2-sweep` doc touches
-/// `Section2Label` before `CycleParamLabel`; the r3 doc touches `u8` first).
+/// first use, so in stanza order (the `section2-sweep` doc registers
+/// `Section2Label` before `CycleParamLabel`; the r3 doc registers `u8`
+/// first).
 #[derive(Default)]
 struct DslCaches {
     structural: Option<Arc<ViewCache<u8>>>,
@@ -1041,8 +1001,7 @@ impl Scenario for ScenarioDoc {
     fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
         // Document-level budgets are defaults: explicit --node-budget /
         // --view-budget flags always win.  A document with no budgets plans
-        // under the exact config the built-ins see — which is what keeps
-        // the committed re-expressions byte-identical.
+        // under the caller's config unchanged.
         let mut effective = config.clone();
         if effective.node_budget.is_none() {
             effective.node_budget = self.node_budget;
@@ -1430,58 +1389,12 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::{Section2Sweep, Section2SweepR3};
 
-    /// The committed re-expressions, compiled in so plan-shape equivalence
-    /// is pinned at unit level (execution byte-identity lives in the
-    /// ld-tests differential suite and CI).
+    /// The committed documents, compiled in so their canonical form is
+    /// pinned at unit level.
     const SECTION2_DOC: &str = include_str!("../../../scenarios/section2-sweep.json");
     const SECTION2_R3_DOC: &str = include_str!("../../../scenarios/section2-sweep-r3.json");
     const NEW_FAMILIES_DOC: &str = include_str!("../../../scenarios/new-families.json");
-
-    fn assert_same_plan_shape(doc: &ScenarioDoc, builtin: &dyn Scenario, config: &SweepConfig) {
-        let dsl_plan = doc.plan(config).unwrap();
-        let builtin_plan = builtin.plan(config).unwrap();
-        assert_eq!(dsl_plan.cells.len(), builtin_plan.cells.len());
-        assert_eq!(dsl_plan.caches.len(), builtin_plan.caches.len());
-        for (a, b) in dsl_plan.cells.iter().zip(&builtin_plan.cells) {
-            assert_eq!(a.spec.id, b.spec.id);
-            assert_eq!(a.spec.params, b.spec.params);
-        }
-    }
-
-    #[test]
-    fn committed_section2_doc_matches_the_builtin_plan() {
-        let doc = ScenarioDoc::from_text(SECTION2_DOC).unwrap();
-        assert_eq!(doc.name(), "section2-sweep");
-        for max_n in [24, 128] {
-            let config = SweepConfig {
-                max_n,
-                ..SweepConfig::default()
-            };
-            assert_same_plan_shape(&doc, &Section2Sweep, &config);
-        }
-        // The radius override flows through the stanza defaults too.
-        let config = SweepConfig {
-            radius: Some(2),
-            ..SweepConfig::default()
-        };
-        assert_same_plan_shape(&doc, &Section2Sweep, &config);
-    }
-
-    #[test]
-    fn committed_r3_doc_matches_the_builtin_plan() {
-        let doc = ScenarioDoc::from_text(SECTION2_R3_DOC).unwrap();
-        assert_eq!(doc.name(), "section2-sweep-r3");
-        for max_n in [24, 48, 128] {
-            let config = SweepConfig {
-                max_n,
-                node_budget: Some(2_000_000),
-                ..SweepConfig::default()
-            };
-            assert_same_plan_shape(&doc, &Section2SweepR3, &config);
-        }
-    }
 
     #[test]
     fn committed_new_families_doc_plans_and_passes() {
@@ -1491,18 +1404,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let report = crate::stream::collect(&doc, &config).unwrap();
-        assert_eq!(report.panicked(), 0);
-        assert_eq!(
-            report.failed(),
-            0,
-            "failing cells: {:?}",
-            report
-                .cells
-                .iter()
-                .filter(|c| !c.passed())
-                .map(|c| c.spec.id.clone())
-                .collect::<Vec<_>>()
-        );
+        crate::scenarios::assert_all_pass(&report);
         for family in [
             "dsl/random-regular/",
             "dsl/power-law/",

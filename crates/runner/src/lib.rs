@@ -9,7 +9,9 @@
 //!   [`SweepConfig`] into a [`Plan`]: one closure per fully determined
 //!   parameter cell.  Built-ins in [`scenarios`] cover the Section 2
 //!   layered trees, the Section 3 execution tables, pyramids, the
-//!   randomised decider, and the summary table.
+//!   randomised decider, and the summary table; `section2-sweep` and
+//!   `section2-sweep-r3` are committed [`dsl`] documents embedded in the
+//!   registry.
 //! * **A shared canonical-view cache** (`ld_local::cache`, threaded through
 //!   every oblivious decision and view enumeration the cells perform) — the
 //!   hot path of every indistinguishability harness, computed once per

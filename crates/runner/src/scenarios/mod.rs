@@ -1,4 +1,10 @@
 //! The built-in scenarios and their registry.
+//!
+//! `section2-sweep` and `section2-sweep-r3` are the committed scenario
+//! documents under `scenarios/`, embedded at compile time and parsed by
+//! [`ScenarioDoc::from_text`]: the files are their only definition, and
+//! their DSL stanzas call the planners in the `section2` and `section2_r3`
+//! modules.  The other six built-ins are Rust [`Scenario`] impls.
 
 mod pyramid;
 mod randomized;
@@ -18,13 +24,12 @@ pub(crate) use section2_r3::{
 pub use pyramid::PyramidSweep;
 pub use randomized::RandomizedSweep;
 pub use randomized_xl::RandomizedSweepXl;
-pub use section2::Section2Sweep;
-pub use section2_r3::Section2SweepR3;
 pub use section2_xl::Section2SweepXl;
 pub use section3::Section3Sweep;
 pub use table::RelationshipTable;
 
 use crate::cell::{CellOutcome, CellSpec};
+use crate::dsl::ScenarioDoc;
 use crate::scenario::{Plan, Scenario};
 use ld_constructions::section2::promise::{self, CycleParamLabel};
 use ld_graph::LabeledGraph;
@@ -118,11 +123,33 @@ pub(crate) fn promise_views_cell(
     });
 }
 
+/// The committed `section2-sweep` and `section2-sweep-r3` documents.
+const SECTION2_DOC: &str = include_str!("../../../../scenarios/section2-sweep.json");
+const SECTION2_R3_DOC: &str = include_str!("../../../../scenarios/section2-sweep-r3.json");
+
+/// Parses an embedded scenario document; the registry tests parse both.
+fn embedded(text: &str) -> Box<dyn Scenario> {
+    Box::new(ScenarioDoc::from_text(text).expect("embedded scenario documents parse"))
+}
+
+/// Asserts that every cell of `report` passed, naming the cells that
+/// failed or panicked.
+#[cfg(test)]
+pub(crate) fn assert_all_pass(report: &crate::report::RunReport) {
+    let failing: Vec<&str> = report
+        .cells
+        .iter()
+        .filter(|c| !c.passed())
+        .map(|c| c.spec.id.as_str())
+        .collect();
+    assert!(failing.is_empty(), "failing cells: {failing:?}");
+}
+
 /// Every built-in scenario, in `ldx list` order.
 pub fn all() -> Vec<Box<dyn Scenario>> {
     vec![
-        Box::new(Section2Sweep),
-        Box::new(Section2SweepR3),
+        embedded(SECTION2_DOC),
+        embedded(SECTION2_R3_DOC),
         Box::new(Section2SweepXl),
         Box::new(Section3Sweep),
         Box::new(PyramidSweep),
@@ -174,6 +201,28 @@ mod tests {
         assert!(find("section2-sweep-xl").is_some());
         assert!(find("randomized-sweep-xl").is_some());
         assert!(find("no-such-scenario").is_none());
+    }
+
+    /// The stanza radii of the embedded documents are defaults: an explicit
+    /// `--radius` overrides every one of them.
+    #[test]
+    fn radius_override_reaches_the_embedded_stanzas() {
+        for (name, natural) in [("section2-sweep", "2"), ("section2-sweep-r3", "3")] {
+            for (radius, expect) in [(None, natural), (Some(1), "1")] {
+                let config = crate::scenario::SweepConfig {
+                    radius,
+                    ..crate::scenario::SweepConfig::default()
+                };
+                let plan = find(name).unwrap().plan(&config).unwrap();
+                let radii: Vec<&str> = plan
+                    .cells
+                    .iter()
+                    .filter_map(|c| c.spec.param("radius"))
+                    .collect();
+                assert!(!radii.is_empty(), "{name}");
+                assert!(radii.iter().all(|&r| r == expect), "{name} at {radius:?}");
+            }
+        }
     }
 
     #[test]

@@ -126,18 +126,7 @@ mod tests {
         };
         let report = stream::collect(&RandomizedSweep, &config).unwrap();
         assert!(report.cells.len() >= 4);
-        assert_eq!(report.panicked(), 0);
-        assert_eq!(
-            report.failed(),
-            0,
-            "failing cells: {:?}",
-            report
-                .cells
-                .iter()
-                .filter(|c| !c.passed())
-                .map(|c| c.spec.id.clone())
-                .collect::<Vec<_>>()
-        );
+        crate::scenarios::assert_all_pass(&report);
     }
 
     #[test]

@@ -186,18 +186,7 @@ mod tests {
         };
         let report = stream::collect(&RandomizedSweepXl, &config).unwrap();
         assert!(report.cells.len() >= 8);
-        assert_eq!(report.panicked(), 0);
-        assert_eq!(
-            report.failed(),
-            0,
-            "failing cells: {:?}",
-            report
-                .cells
-                .iter()
-                .filter(|c| !c.passed())
-                .map(|c| c.spec.id.clone())
-                .collect::<Vec<_>>()
-        );
+        crate::scenarios::assert_all_pass(&report);
         assert_eq!(report.exhausted(), 0, "the scaled default must be generous");
         for cell in &report.cells {
             let outcome = cell.outcome.as_ref().unwrap();

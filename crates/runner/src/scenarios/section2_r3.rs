@@ -1,9 +1,7 @@
-//! `section2-sweep-r3`: the Section 2 view machinery at radius 3, budgeted.
-//!
-//! Radius 3 is where the paper's view-based separations get interesting —
-//! and where naive per-radius extraction blows up combinatorially.  This
-//! scenario is the radius-3 coverage-cell family the roadmap called for,
-//! built on the budget-aware enumeration layer:
+//! The planners behind `section2-sweep-r3`: the Section 2 view machinery
+//! at radius 3, budgeted.  Each stanza of the committed document
+//! `scenarios/section2-sweep-r3.json`, which the registry embeds, calls one
+//! planner here; `section2-sweep-xl` calls them at larger sizes.
 //!
 //! * **Paths** — the smallest family with a closed-form distinct-view count
 //!   (`radius + 1` classes once `n >= 2·radius + 2`), swept across sizes,
@@ -26,7 +24,7 @@
 //! wall-time surprise.
 
 use crate::cell::{CellOutcome, CellSpec};
-use crate::scenario::{Plan, Scenario, SweepConfig};
+use crate::scenario::{Plan, SweepConfig};
 use ld_constructions::section2::promise::CycleParamLabel;
 use ld_constructions::section2::{Section2Label, Section2Params};
 use ld_graph::{generators, LabeledGraph};
@@ -46,9 +44,6 @@ pub(crate) const MAX_ROOTS: usize = 8;
 /// Step between swept path sizes (keeps the family to ~16 cells at the
 /// default `max_n`; also the DSL `paths` stanza's `step` default).
 pub(crate) const PATH_STEP: usize = 8;
-
-/// The radius-3 Section 2 sweep scenario.
-pub struct Section2SweepR3;
 
 /// A uniform 0-labelled graph, the label regime of the structural families.
 fn uniform(graph: ld_graph::Graph) -> LabeledGraph<u8> {
@@ -290,56 +285,19 @@ pub(crate) fn promise_cells(
     }
 }
 
-impl Scenario for Section2SweepR3 {
-    fn name(&self) -> &str {
-        "section2-sweep-r3"
-    }
-
-    fn description(&self) -> &str {
-        "Radius-3 coverage cells: paths, grids, layered trees and promise cycles, under work budgets"
-    }
-
-    fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
-        let radius = config.radius_or(3);
-        let budget = config.enumeration_budget();
-        let mut plan = Plan::new();
-        let structural_cache = plan.share_cache::<u8>();
-        let tree_cache = plan.share_cache::<Section2Label>();
-        let promise_cache = plan.share_cache::<CycleParamLabel>();
-
-        path_cells(
-            &mut plan,
-            &structural_cache,
-            config,
-            radius,
-            budget,
-            PATH_STEP,
-        );
-        path_coverage_cells(&mut plan, &structural_cache, config, radius, budget);
-        grid_profile_cells(&mut plan, &structural_cache, config, radius, budget);
-        tree_family_cells(&mut plan, &tree_cache, config, radius, budget, MAX_ROOTS)?;
-        promise_cells(&mut plan, &promise_cache, config, radius, budget);
-
-        if plan.cells.is_empty() {
-            return Err(format!(
-                "max_n = {} leaves no radius-{radius} cell; paths need {} nodes and \
-                 promise cycles need 9",
-                config.max_n,
-                2 * radius + 2
-            ));
-        }
-        Ok(plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream;
+    use crate::scenario::Scenario;
+    use crate::{scenarios, stream};
+
+    fn section2_sweep_r3() -> Box<dyn Scenario> {
+        scenarios::find("section2-sweep-r3").expect("section2-sweep-r3 is registered")
+    }
 
     #[test]
     fn default_budget_plans_a_rich_radius3_sweep() {
-        let plan = Section2SweepR3.plan(&SweepConfig::default()).unwrap();
+        let plan = section2_sweep_r3().plan(&SweepConfig::default()).unwrap();
         assert!(plan.cells.len() >= 60, "{} cells", plan.cells.len());
         assert_eq!(plan.caches.len(), 3);
     }
@@ -354,19 +312,8 @@ mod tests {
             seed: 7,
             ..SweepConfig::default()
         };
-        let report = stream::collect(&Section2SweepR3, &config).unwrap();
-        assert_eq!(report.panicked(), 0);
-        assert_eq!(
-            report.failed(),
-            0,
-            "failing cells: {:?}",
-            report
-                .cells
-                .iter()
-                .filter(|c| !c.passed())
-                .map(|c| c.spec.id.clone())
-                .collect::<Vec<_>>()
-        );
+        let report = stream::collect(section2_sweep_r3().as_ref(), &config).unwrap();
+        crate::scenarios::assert_all_pass(&report);
         assert_eq!(report.exhausted(), 0);
         assert!(report.cache_hit_rate() > 0.0);
     }
@@ -380,8 +327,8 @@ mod tests {
             node_budget: Some(64),
             ..SweepConfig::default()
         };
-        let a = stream::collect(&Section2SweepR3, &config).unwrap();
-        let b = stream::collect(&Section2SweepR3, &config).unwrap();
+        let a = stream::collect(section2_sweep_r3().as_ref(), &config).unwrap();
+        let b = stream::collect(section2_sweep_r3().as_ref(), &config).unwrap();
         assert!(a.exhausted() > 0, "a 64-node budget must exhaust r3 cells");
         assert_eq!(a.failed(), 0, "exhaustion is an outcome, not a failure");
         assert_eq!(a.deterministic_json(), b.deterministic_json());
@@ -394,7 +341,7 @@ mod tests {
             radius: Some(1),
             ..SweepConfig::default()
         };
-        let report = stream::collect(&Section2SweepR3, &config).unwrap();
+        let report = stream::collect(section2_sweep_r3().as_ref(), &config).unwrap();
         assert_eq!(report.failed() + report.panicked(), 0);
         // Radius-1 paths have exactly 2 distinct views.
         let cell = report
@@ -410,13 +357,14 @@ mod tests {
 
     #[test]
     fn tiny_size_budget_is_rejected_with_a_message() {
-        let err = match Section2SweepR3.plan(&SweepConfig {
+        let config = SweepConfig {
             max_n: 3,
             ..SweepConfig::default()
-        }) {
-            Err(message) => message,
-            Ok(plan) => panic!("expected a planning error, got {} cells", plan.cells.len()),
         };
-        assert!(err.contains("max_n"));
+        let err = section2_sweep_r3()
+            .plan(&config)
+            .err()
+            .expect("no cell fits");
+        assert!(err.contains("max_n = 3 leaves no cell"), "{err}");
     }
 }

@@ -165,18 +165,7 @@ mod tests {
     fn all_four_quadrants_come_out_as_the_paper_states() {
         let report = stream::collect(&RelationshipTable, &SweepConfig::default()).unwrap();
         assert_eq!(report.cells.len(), 4);
-        assert_eq!(report.panicked(), 0);
-        assert_eq!(
-            report.failed(),
-            0,
-            "failing cells: {:?}",
-            report
-                .cells
-                .iter()
-                .filter(|c| !c.passed())
-                .map(|c| c.spec.id.clone())
-                .collect::<Vec<_>>()
-        );
+        crate::scenarios::assert_all_pass(&report);
         assert!(report.cache_hit_rate() > 0.0);
     }
 }

@@ -7,7 +7,7 @@
 //! a loopback/trusted-network tool, like the spool directory it fronts.
 
 use ld_runner::json::Json;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// The largest accepted request body (a job spec is well under 1 KiB; the
 /// cap only bounds memory against malformed peers).
@@ -15,6 +15,11 @@ pub const MAX_BODY: usize = 1 << 20;
 
 /// The largest accepted header count.
 const MAX_HEADERS: usize = 64;
+
+/// The longest accepted request line or header line, terminator included.
+/// Without it one newline-free line would make the reader buffer without
+/// limit; `MAX_HEADERS` only bounds the line count.
+pub const MAX_LINE: usize = 8 << 10;
 
 /// A parse/framing failure while reading a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,9 +87,7 @@ impl Request {
 /// [`HttpError`] on framing violations, an oversized body, or I/O failure.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
     let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
+    let n = read_line_capped(reader, &mut line)?;
     if n == 0 {
         return Ok(None);
     }
@@ -105,9 +108,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     };
     loop {
         let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+        let n = read_line_capped(reader, &mut line)?;
         if n == 0 {
             return Err(HttpError::Malformed("eof inside headers".to_string()));
         }
@@ -139,6 +140,22 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         request.body = body;
     }
     Ok(Some(request))
+}
+
+/// Reads one line of at most [`MAX_LINE`] bytes into `line`, returning its
+/// length (0 at end of input).  Reads no further than one byte past the
+/// cap, so an endless line costs bounded memory.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> Result<usize, HttpError> {
+    let n = reader
+        .take(MAX_LINE as u64 + 1)
+        .read_line(line)
+        .map_err(|e| HttpError::Io(e.to_string()))?;
+    if n > MAX_LINE {
+        return Err(HttpError::Malformed(format!(
+            "line longer than {MAX_LINE} bytes"
+        )));
+    }
+    Ok(n)
 }
 
 /// The reason phrase for the statuses this service emits.

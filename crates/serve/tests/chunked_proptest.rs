@@ -10,73 +10,12 @@
 //! mid-stream, a missing trailing CRLF after the terminal chunk is
 //! tolerated, and a truncated chunk payload is a hard `UnexpectedEof`.
 
+mod common;
+
+use common::{read_splits, Dribble, Mix};
 use ld_serve::client::ChunkedReader;
 use proptest::prelude::*;
-use std::io::{BufRead, ErrorKind, Read};
-
-/// A deterministic byte mixer (splitmix64) so each proptest case derives
-/// its body, chunking and read-split schedule from one sampled seed.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-/// A reader that returns at most `sizes[k]` bytes per call (cycling), so
-/// size lines and payloads land split across reads at seed-chosen points.
-struct Dribble {
-    data: Vec<u8>,
-    pos: usize,
-    sizes: Vec<usize>,
-    k: usize,
-}
-
-impl Dribble {
-    fn new(data: Vec<u8>, sizes: Vec<usize>) -> Dribble {
-        Dribble {
-            data,
-            pos: 0,
-            sizes,
-            k: 0,
-        }
-    }
-
-    fn window(&mut self) -> usize {
-        let size = self.sizes[self.k % self.sizes.len()].max(1);
-        self.k += 1;
-        size.min(self.data.len() - self.pos)
-    }
-}
-
-impl Read for Dribble {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let take = self.window().min(buf.len());
-        buf[..take].copy_from_slice(&self.data[self.pos..self.pos + take]);
-        self.pos += take;
-        Ok(take)
-    }
-}
-
-impl BufRead for Dribble {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        let take = self.window();
-        Ok(&self.data[self.pos..self.pos + take])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos += amt;
-    }
-}
+use std::io::{ErrorKind, Read};
 
 /// Splits `body` into chunks with seed-chosen sizes and renders the wire
 /// encoding; every third chunk carries an extension to be stripped.
@@ -102,10 +41,6 @@ fn encode(body: &[u8], mix: &mut Mix, final_crlf: bool) -> Vec<u8> {
 
 fn seeded_body(mix: &mut Mix, len: usize) -> Vec<u8> {
     (0..len).map(|_| (mix.next() & 0xff) as u8).collect()
-}
-
-fn read_splits(mix: &mut Mix) -> Vec<usize> {
-    (0..8).map(|_| 1 + mix.below(5) as usize).collect()
 }
 
 proptest! {

@@ -10,7 +10,7 @@ use ld_serve::{client, JobSpec, ServeOptions, Server};
 use std::path::PathBuf;
 use std::process::Command;
 
-/// The committed re-expression of `section2-sweep`, resolved relative to
+/// A committed scenario document under `scenarios/`, resolved relative to
 /// this crate so the test runs from any working directory.
 fn committed_scenario(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

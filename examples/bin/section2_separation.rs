@@ -5,8 +5,9 @@
 //! identifier regimes × algorithms, plus the promise-problem cycles across
 //! a size range, executed in parallel with a shared canonical-view cache.
 //! This binary plans the sweep, runs it, prints the headline verdicts the
-//! paper's Section 2 establishes, and leaves the full machine-readable
-//! record in `ldx-section2-sweep.json`.
+//! paper's Section 2 establishes, and leaves the deterministic report (no
+//! timings, so reruns reproduce it byte for byte) in
+//! `ldx-section2-sweep.json`.
 //!
 //! Run with `cargo run -p ld-examples --bin section2_separation`.
 
@@ -28,7 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: std::thread::available_parallelism().map_or(1, usize::from),
         ..SweepConfig::default()
     };
-    let report = stream::collect(&scenarios::Section2Sweep, &config)?;
+    let scenario = scenarios::find("section2-sweep").ok_or("section2-sweep is not registered")?;
+    let report = stream::collect(scenario.as_ref(), &config)?;
 
     let (verifier_ok, verifier_total) = count(&report, |c| c.spec.param("alg") == Some("verifier"));
     println!(
@@ -74,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total_wall,
         report.config.threads
     );
-    RunReport::write("ldx-section2-sweep.json", &report.to_json())?;
-    println!("full report: ldx-section2-sweep.json");
+    RunReport::write("ldx-section2-sweep.json", &report.deterministic_json())?;
+    println!("deterministic report: ldx-section2-sweep.json");
 
     if report.failed() + report.panicked() > 0 {
         return Err(format!(

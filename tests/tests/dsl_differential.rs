@@ -1,13 +1,12 @@
-//! Differential conformance for the committed DSL re-expressions: the
-//! scenario documents under `scenarios/` must produce reports
-//! **byte-identical** to the built-in scenarios they re-express — through
-//! the in-memory reporter and through the streaming writer, at
-//! every thread count.
+//! Differential conformance for the committed scenario documents.
 //!
-//! This is the contract that makes the DSL trustworthy: a committed
-//! `.json` file is not "approximately" the built-in sweep, it *is* the
-//! built-in sweep, byte for byte.  (CI re-checks the same equivalence
-//! end-to-end through the `ldx` binary.)
+//! `section2-sweep` and `section2-sweep-r3` are defined only by the files
+//! under `scenarios/`: the registry embeds them at compile time.  These
+//! tests pin that the registry entry *is* the file — the in-memory report
+//! from `scenarios::find` is byte-identical to the streamed report from
+//! `ScenarioDoc::from_text` of the file at 1 and 4 threads — and that
+//! document-backed sweeps resume to identical bytes.  (CI re-checks the
+//! files end-to-end through the `ldx` binary.)
 
 use ld_runner::stream::{self, Checkpoint, StreamOptions};
 use ld_runner::{scenarios, Scenario, ScenarioDoc, SweepConfig};
@@ -58,8 +57,9 @@ fn r3_config(threads: usize) -> SweepConfig {
     }
 }
 
-/// Byte-compares the DSL document against its built-in across both
-/// execution paths and thread counts 1 and 4.
+/// Byte-compares the registry entry's in-memory report against the
+/// streamed report of the document parsed from the file, at 1 and 4
+/// threads.
 fn assert_byte_identical(
     doc_text: &str,
     builtin_name: &str,
@@ -68,17 +68,11 @@ fn assert_byte_identical(
     let doc = ScenarioDoc::from_text(doc_text).expect("committed scenario parses");
     assert_eq!(doc.name(), builtin_name);
     let builtin = scenarios::find(builtin_name).expect("builtin is registered");
+    assert_eq!(builtin.description(), doc.description());
 
     let reference = stream::collect(builtin.as_ref(), &make_config(1))
         .unwrap_or_else(|e| panic!("{builtin_name}: {e}"))
         .deterministic_json();
-    let from_doc = stream::collect(&doc, &make_config(1))
-        .unwrap_or_else(|e| panic!("{builtin_name} (doc): {e}"))
-        .deterministic_json();
-    assert_eq!(
-        from_doc, reference,
-        "{builtin_name}: in-memory report from the DSL document diverges from the builtin"
-    );
 
     for threads in [1, 4] {
         let path = temp_path(&format!("{builtin_name}-t{threads}"));
@@ -88,7 +82,7 @@ fn assert_byte_identical(
         let streamed = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             streamed, reference,
-            "{builtin_name} at {threads} threads: streamed DSL bytes diverge from the builtin"
+            "{builtin_name} at {threads} threads: streamed bytes of the file diverge from the registry entry"
         );
         cleanup(&path);
     }
@@ -106,7 +100,7 @@ fn committed_r3_doc_is_byte_identical_to_the_builtin() {
     assert_byte_identical(SECTION2_R3_DOC, "section2-sweep-r3", &r3_config);
 }
 
-/// The new-families document has no built-in twin; its contract is
+/// The new-families document is not registered; its contract is
 /// determinism — identical bytes across thread counts and across the
 /// in-memory and streaming paths — plus a clean verdict sheet.
 #[test]

@@ -1,6 +1,6 @@
 //! Fuzz + round-trip conformance for the scenario DSL parser
 //! (`ld_runner::dsl`), the surface every `--file` scenario, every
-//! submitted `scenario_doc` and every committed re-expression goes
+//! submitted `scenario_doc` and the registry's embedded built-ins go
 //! through.
 //!
 //! Three contracts are pinned here:

@@ -6,7 +6,7 @@
 //! `shard_size` that gives at least two shards per thread: the parallel
 //! runs must really go through the worker pool.
 
-use local_decision::runner::{scenarios, stream, SweepConfig};
+use local_decision::runner::{scenarios, stream, Scenario, SweepConfig};
 
 fn config(threads: usize) -> SweepConfig {
     SweepConfig {
@@ -19,14 +19,18 @@ fn config(threads: usize) -> SweepConfig {
     }
 }
 
+fn section2_sweep() -> Box<dyn Scenario> {
+    scenarios::find("section2-sweep").expect("section2-sweep is registered")
+}
+
 #[test]
 fn parallel_section2_report_is_byte_identical_to_sequential() {
-    let sequential = stream::collect(&scenarios::Section2Sweep, &config(1)).unwrap();
+    let sequential = stream::collect(section2_sweep().as_ref(), &config(1)).unwrap();
     let reference = sequential.deterministic_json();
     assert!(sequential.cells.len() >= 100, "{}", sequential.cells.len());
 
     for threads in [2, 4, 8] {
-        let parallel = stream::collect(&scenarios::Section2Sweep, &config(threads)).unwrap();
+        let parallel = stream::collect(section2_sweep().as_ref(), &config(threads)).unwrap();
         assert_eq!(
             reference,
             parallel.deterministic_json(),
@@ -39,15 +43,15 @@ fn parallel_section2_report_is_byte_identical_to_sequential() {
 fn reports_depend_on_the_master_seed_only_through_cells() {
     // Same seed twice: identical. Different seed: shuffled-id cells change
     // their per-cell seeds, so the documents differ.
-    let a = stream::collect(&scenarios::Section2Sweep, &config(2)).unwrap();
-    let b = stream::collect(&scenarios::Section2Sweep, &config(2)).unwrap();
+    let a = stream::collect(section2_sweep().as_ref(), &config(2)).unwrap();
+    let b = stream::collect(section2_sweep().as_ref(), &config(2)).unwrap();
     assert_eq!(a.deterministic_json(), b.deterministic_json());
 
     let other = SweepConfig {
         seed: 1,
         ..config(2)
     };
-    let c = stream::collect(&scenarios::Section2Sweep, &other).unwrap();
+    let c = stream::collect(section2_sweep().as_ref(), &other).unwrap();
     assert_ne!(a.deterministic_json(), c.deterministic_json());
 }
 
