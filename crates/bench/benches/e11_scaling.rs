@@ -145,47 +145,16 @@ fn write_perf_snapshot() {
         }));
 
         // The bitset kernel vs the retained oracle on the same ≤64-node
-        // ball: `canonical_code_grid_view` above dispatches to the kernel
-        // (thread-local scratch), `…_oracle` runs the original
-        // individualisation–refinement path, `…_scratch` reuses one
-        // explicit scratch, and the batch pair canonicalises every centre
-        // of the ball in one call vs one oracle call per centre.
+        // ball: `canonical_code_grid_view` above dispatches to the kernel on
+        // this thread's scratch, `…_oracle` runs the original
+        // individualisation–refinement path.
         use local_decision::graph::canon::centered_canonical_code_oracle;
-        use local_decision::graph::CanonScratch;
         let ball_graph = interior.graph().clone();
         let colors = vec![0u64; ball_graph.node_count()];
         let center = interior.center();
         records.push(perf::measure("canonical_code_grid_view_oracle", 20, || {
             centered_canonical_code_oracle(&ball_graph, center, &colors)
         }));
-        let mut scratch = CanonScratch::new();
-        records.push(perf::measure(
-            "canonical_code_grid_view_scratch",
-            20,
-            || scratch.centered_code(&ball_graph, center, &colors),
-        ));
-        let centers: Vec<NodeId> = ball_graph.nodes().collect();
-        let mut batch_scratch = CanonScratch::new();
-        records.push(perf::measure(
-            "canonical_batch_grid_ball_kernel",
-            20,
-            || {
-                batch_scratch
-                    .canonicalize_batch(&ball_graph, &colors, &centers)
-                    .len()
-            },
-        ));
-        records.push(perf::measure(
-            "canonical_batch_grid_ball_oracle",
-            20,
-            || {
-                centers
-                    .iter()
-                    .map(|&c| centered_canonical_code_oracle(&ball_graph, c, &colors))
-                    .collect::<Vec<_>>()
-                    .len()
-            },
-        ));
     }
 
     let labeled = LabeledGraph::from_fn(generators::grid(16, 16), |v| (v.index() % 5) as u8);

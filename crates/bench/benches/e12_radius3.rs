@@ -17,8 +17,9 @@
 //! `BENCH_e12_radius3.json` snapshot at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use local_decision::graph::canon::{centered_canonical_code_oracle, CanonicalCode};
-use local_decision::graph::CanonScratch;
+use local_decision::graph::canon::{
+    centered_canonical_code, centered_canonical_code_oracle, CanonicalCode,
+};
 use local_decision::local::cache::ViewCache;
 use local_decision::local::enumeration::{
     distinct_oblivious_views_of_budgeted, distinct_views_by_radius_cached, EnumerationBudget,
@@ -108,9 +109,8 @@ fn write_perf_snapshot() {
         ),
     ] {
         let views = enumeration::collect_oblivious_views(&labeled, 3);
-        let mut scratch = CanonScratch::new();
         records.push(perf::measure(format!("{name}_kernel"), 5, || {
-            dedup_by_code(&views, |g, c, colors| scratch.centered_code(g, c, colors))
+            dedup_by_code(&views, centered_canonical_code)
         }));
         records.push(perf::measure(format!("{name}_oracle"), 5, || {
             dedup_by_code(&views, centered_canonical_code_oracle)
@@ -118,17 +118,15 @@ fn write_perf_snapshot() {
     }
 
     // Per-code cost on a single radius-3 cycle ball (a 7-node path — the
-    // AHU tree regime), and whole-graph batch canonicalisation of the
-    // 63-node complete binary tree: every centre in one kernel batch
-    // (rows and tree check amortised) vs one oracle call per centre.
+    // AHU tree regime) and on the 63-node complete binary tree rooted at its
+    // root, kernel vs oracle.
     {
         let labeled = LabeledGraph::uniform(generators::cycle(256), 0u8);
         let views = enumeration::collect_oblivious_views(&labeled, 3);
         let view = &views[0];
         let colors: Vec<u64> = view.labels().iter().map(|&l| u64::from(l)).collect();
-        let mut scratch = CanonScratch::new();
         records.push(perf::measure("canonical_code_path_ball_kernel", 20, || {
-            scratch.centered_code(view.graph(), view.center(), &colors)
+            centered_canonical_code(view.graph(), view.center(), &colors)
         }));
         records.push(perf::measure("canonical_code_path_ball_oracle", 20, || {
             centered_canonical_code_oracle(view.graph(), view.center(), &colors)
@@ -136,44 +134,12 @@ fn write_perf_snapshot() {
 
         let tree = generators::complete_binary_tree(5);
         let colors = vec![0u64; tree.node_count()];
-        let centers: Vec<NodeId> = tree.nodes().collect();
-        let root = centers[0];
-        let mut scratch = CanonScratch::new();
+        let root = NodeId(0);
         records.push(perf::measure("canonical_code_tree63_kernel", 20, || {
-            scratch.centered_code(&tree, root, &colors)
+            centered_canonical_code(&tree, root, &colors)
         }));
         records.push(perf::measure("canonical_code_tree63_oracle", 20, || {
             centered_canonical_code_oracle(&tree, root, &colors)
-        }));
-        let mut scratch = CanonScratch::new();
-        records.push(perf::measure("canonical_batch_tree63_kernel", 5, || {
-            scratch.canonicalize_batch(&tree, &colors, &centers).len()
-        }));
-        records.push(perf::measure("canonical_batch_tree63_oracle", 5, || {
-            centers
-                .iter()
-                .map(|&c| centered_canonical_code_oracle(&tree, c, &colors))
-                .collect::<Vec<_>>()
-                .len()
-        }));
-
-        // The deep-tree extreme: a 63-node path, every centre in one batch.
-        // The oracle's AHU concatenates full subtree codes (O(n²) words and
-        // one `Vec` per node on a path); the kernel's rank-based AHU stays
-        // near-linear, so this is where the asymptotic gap shows.
-        let path = generators::path(63);
-        let colors = vec![0u64; path.node_count()];
-        let centers: Vec<NodeId> = path.nodes().collect();
-        let mut scratch = CanonScratch::new();
-        records.push(perf::measure("canonical_batch_path63_kernel", 5, || {
-            scratch.canonicalize_batch(&path, &colors, &centers).len()
-        }));
-        records.push(perf::measure("canonical_batch_path63_oracle", 5, || {
-            centers
-                .iter()
-                .map(|&c| centered_canonical_code_oracle(&path, c, &colors))
-                .collect::<Vec<_>>()
-                .len()
         }));
     }
 

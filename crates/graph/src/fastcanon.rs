@@ -8,10 +8,10 @@
 //! for the **≤ 64 node regime** that runs the *same algorithms* over flat
 //! word-parallel state:
 //!
-//! * adjacency is 64 [`u64` bitset rows](CanonScratch), so neighbour
-//!   iteration is bit scanning, ball membership is a mask test, and the
-//!   interchangeability prune compares whole neighbourhoods with two word
-//!   ops instead of walking sorted lists;
+//! * adjacency is 64 `u64` bitset rows, so neighbour iteration is bit
+//!   scanning, ball membership is a mask test, and the interchangeability
+//!   prune compares whole neighbourhoods with two word ops instead of
+//!   walking sorted lists;
 //! * refinement partitions, permutations and BFS queues are fixed arrays —
 //!   an individualisation branch copies 256 bytes instead of cloning a
 //!   `Vec`;
@@ -20,10 +20,16 @@
 //!   comparison reproduces code comparison exactly — see
 //!   `rooted_tree_perm`), replacing the per-node `Vec<Vec<u64>>` of the
 //!   general path with one flat child arena and a 64-entry rank array;
-//! * all of the above lives in one reusable [`CanonScratch`] (one per
-//!   worker thread, or one per call site via
-//!   [`CanonScratch::canonicalize_batch`]), so a warmed-up scratch performs
-//!   **zero allocations per call** beyond the returned code itself.
+//! * all of the above lives in one reusable scratch per thread, so a
+//!   warmed-up thread performs **zero allocations per call** beyond the
+//!   returned code itself.
+//!
+//! There is one entry point: [`crate::canon::canonical_code`] and
+//! [`crate::canon::centered_canonical_code`] dispatch here, onto the
+//! calling thread's scratch, whenever [`accelerates`] holds.  Every
+//! canonicalisation the shipped libraries run — view codes, cache misses,
+//! enumeration dedup and coverage — goes through them, so
+//! [`thread_kernel_calls`] counts a thread's whole kernel workload.
 //!
 //! # Byte-identical to the oracle
 //!
@@ -92,8 +98,9 @@ pub fn accelerates(graph: &Graph) -> bool {
 }
 
 thread_local! {
-    /// One warmed-up scratch per worker thread for the non-batched entry
-    /// points ([`crate::canon::canonical_code`] and friends).
+    /// One warmed-up scratch per thread, behind every kernel dispatch of
+    /// [`crate::canon::canonical_code`] and
+    /// [`crate::canon::centered_canonical_code`].
     static SCRATCH: RefCell<CanonScratch> = RefCell::new(CanonScratch::new());
 }
 
@@ -107,7 +114,7 @@ pub(crate) fn thread_form(graph: &Graph, center: Option<NodeId>, colors: &[u64])
     })
 }
 
-/// How many times this thread's shared scratch has run the bitset kernel
+/// How many canonicalisations on this thread have run on the bitset kernel
 /// (oracle fallbacks do not count).  Thread-local, so concurrently running
 /// tests cannot perturb each other's dispatch assertions.
 pub fn thread_kernel_calls() -> u64 {
@@ -117,11 +124,10 @@ pub fn thread_kernel_calls() -> u64 {
 /// Reusable scratch state for the bitset kernel: adjacency rows, BFS and
 /// refinement arrays, the AHU child arena, and the output buffers.
 ///
-/// Create one per worker (or lean on the crate's per-thread instance via
-/// [`crate::canon::canonical_code`]) and feed it many graphs; after the
-/// first few calls every buffer has reached its high-water mark and calls
-/// allocate nothing but the returned [`CanonicalCode`].
-pub struct CanonScratch {
+/// One lives in each thread's `SCRATCH`; after the first few calls every
+/// buffer has reached its high-water mark and calls allocate nothing but the
+/// returned [`CanonicalCode`].
+struct CanonScratch {
     // -- loaded per graph by `prepare` -------------------------------------
     /// Bit `u` of `rows[v]` set iff `{v, u}` is an edge.
     rows: [u64; MAX_NODES],
@@ -131,7 +137,7 @@ pub struct CanonScratch {
     m: usize,
     /// Whether the loaded graph is a tree (dispatches AHU vs search).
     tree: bool,
-    /// Bitset-kernel invocations (dispatch introspection for tests).
+    /// Bitset-kernel invocations (read by [`thread_kernel_calls`]).
     calls: u64,
     // -- tree path ---------------------------------------------------------
     /// BFS parent of each node under the current rooting.
@@ -164,20 +170,12 @@ pub struct CanonScratch {
     best_set: bool,
     /// Encode buffer for the candidate under evaluation.
     candidate: Vec<u64>,
-    /// Batch output storage for [`CanonScratch::canonicalize_batch`].
-    batch: Vec<CanonicalCode>,
-}
-
-impl Default for CanonScratch {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CanonScratch {
     /// A fresh scratch.  Buffers grow to their steady-state sizes over the
     /// first few calls and are reused forever after.
-    pub fn new() -> Self {
+    fn new() -> Self {
         CanonScratch {
             rows: [0; MAX_NODES],
             n: 0,
@@ -198,7 +196,6 @@ impl CanonScratch {
             best: Vec::new(),
             best_set: false,
             candidate: Vec::new(),
-            batch: Vec::new(),
         }
     }
 
@@ -206,92 +203,36 @@ impl CanonScratch {
     /// dispatched to the oracle (graph too large, or `LD_CANON_FALLBACK`
     /// set) do not count — the 63/64/65-node seam tests pin routing with
     /// this counter.
-    pub fn kernel_calls(&self) -> u64 {
+    fn kernel_calls(&self) -> u64 {
         self.calls
-    }
-
-    /// Canonical code of a coloured graph — byte-identical to
-    /// [`crate::canon::canonical_code`], served from this scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `colors.len() != graph.node_count()`.
-    pub fn code(&mut self, graph: &Graph, colors: &[u64]) -> CanonicalCode {
-        self.form(graph, None, colors)
-    }
-
-    /// Centred canonical code — byte-identical to
-    /// [`crate::canon::centered_canonical_code`], served from this scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `center` is out of range or `colors.len() !=
-    /// graph.node_count()`.
-    pub fn centered_code(
-        &mut self,
-        graph: &Graph,
-        center: NodeId,
-        colors: &[u64],
-    ) -> CanonicalCode {
-        self.form(graph, Some(center), colors)
-    }
-
-    /// Canonicalises many centres of one coloured graph, amortising the
-    /// adjacency-row load and tree check across the whole batch.  Entry `i`
-    /// of the returned slice is the centred code of `centers[i]`,
-    /// byte-identical to [`crate::canon::centered_canonical_code`]; the
-    /// slice borrows scratch storage and is valid until the next call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any centre is out of range or `colors.len() !=
-    /// graph.node_count()`.
-    pub fn canonicalize_batch(
-        &mut self,
-        graph: &Graph,
-        colors: &[u64],
-        centers: &[NodeId],
-    ) -> &[CanonicalCode] {
-        let n = graph.node_count();
-        assert_eq!(n, colors.len(), "one colour per node is required");
-        self.batch.clear();
-        if supports(graph) && !fallback_forced() {
-            self.prepare(graph);
-            for &c in centers {
-                assert!(c.index() < n, "center must be a node of the graph");
-                let code = self.form_prepared(Some(c), colors);
-                self.batch.push(code);
-            }
-        } else {
-            for &c in centers {
-                self.batch.push(canon::oracle_form(graph, Some(c), colors));
-            }
-        }
-        &self.batch
     }
 
     /// Full dispatch: run the kernel when the graph is in the ≤ 64 regime
     /// and the fallback is not forced, otherwise delegate to the oracle.
-    pub(crate) fn form(
-        &mut self,
-        graph: &Graph,
-        center: Option<NodeId>,
-        colors: &[u64],
-    ) -> CanonicalCode {
+    fn form(&mut self, graph: &Graph, center: Option<NodeId>, colors: &[u64]) -> CanonicalCode {
         let n = graph.node_count();
         assert_eq!(n, colors.len(), "one colour per node is required");
         if let Some(c) = center {
             assert!(c.index() < n, "center must be a node of the graph");
         }
-        if !supports(graph) || fallback_forced() {
+        if !accelerates(graph) {
             return canon::oracle_form(graph, center, colors);
         }
         self.prepare(graph);
-        self.form_prepared(center, colors)
+        self.calls += 1;
+        self.best_set = false;
+        let center = center.map(|c| c.index() as u32);
+        if self.tree {
+            self.tree_code(center, colors);
+        } else {
+            self.search_code(center, colors);
+        }
+        debug_assert!(self.best_set, "every kernel run emits at least one leaf");
+        CanonicalCode::from_words(self.best.clone())
     }
 
     /// Loads a supported graph into the bitset rows and caches its edge
-    /// count and tree-ness (shared by every centre of a batch).
+    /// count and tree-ness.
     fn prepare(&mut self, graph: &Graph) {
         let n = graph.node_count();
         debug_assert!(supports(graph), "caller checked the ≤64-node regime");
@@ -326,20 +267,6 @@ impl CanonScratch {
             }
             seen == full
         };
-    }
-
-    /// Runs the kernel on the loaded graph (dispatch already resolved).
-    fn form_prepared(&mut self, center: Option<NodeId>, colors: &[u64]) -> CanonicalCode {
-        self.calls += 1;
-        self.best_set = false;
-        let center = center.map(|c| c.index() as u32);
-        if self.tree {
-            self.tree_code(center, colors);
-        } else {
-            self.search_code(center, colors);
-        }
-        debug_assert!(self.best_set, "every kernel run emits at least one leaf");
-        CanonicalCode::from_words(self.best.clone())
     }
 
     /// Keeps the lexicographically least encode seen this run: swaps
@@ -921,22 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_codes_equal_per_call_codes() {
-        let mut scratch = CanonScratch::new();
-        let g = generators::grid(5, 5);
-        let colors = varied(g.node_count());
-        let centers: Vec<NodeId> = g.nodes().collect();
-        let batch: Vec<CanonicalCode> = scratch.canonicalize_batch(&g, &colors, &centers).to_vec();
-        assert_eq!(batch.len(), centers.len());
-        for (i, &c) in centers.iter().enumerate() {
-            assert_eq!(
-                batch[i].as_slice(),
-                centered_canonical_code_oracle(&g, c, &colors).as_slice()
-            );
-        }
-    }
-
-    #[test]
     fn seam_63_64_routes_to_the_kernel_and_65_falls_back() {
         if fallback_forced() {
             // Under LD_CANON_FALLBACK the routing assertions are moot; code
@@ -947,7 +858,7 @@ mod tests {
         for n in [63usize, 64] {
             let g = generators::path(n);
             let before = scratch.kernel_calls();
-            let code = scratch.centered_code(&g, NodeId(0), &uniform(n));
+            let code = scratch.form(&g, Some(NodeId(0)), &uniform(n));
             assert_eq!(
                 scratch.kernel_calls(),
                 before + 1,
@@ -960,7 +871,7 @@ mod tests {
         }
         let g = generators::path(65);
         let before = scratch.kernel_calls();
-        let code = scratch.centered_code(&g, NodeId(0), &uniform(65));
+        let code = scratch.form(&g, Some(NodeId(0)), &uniform(65));
         assert_eq!(scratch.kernel_calls(), before, "65 nodes must fall back");
         assert_eq!(
             code.as_slice(),

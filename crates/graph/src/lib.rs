@@ -24,10 +24,11 @@
 //!    Balls of at most 64 nodes — every ball the paper's sweeps produce —
 //!    are canonicalised by the word-parallel bitset kernel in
 //!    [`fastcanon`], which emits byte-identical codes from `u64` adjacency
-//!    rows and a reusable [`CanonScratch`]; the original path remains the
-//!    differential oracle ([`canon::canonical_code_oracle`]) and the
-//!    fallback for larger graphs (or for every graph when
-//!    `LD_CANON_FALLBACK=1` is set).
+//!    rows held in one reusable scratch per thread.  [`canonical_code`] and
+//!    [`centered_canonical_code`] are the only entry points and pick the
+//!    path themselves; the original path remains the differential oracle
+//!    ([`canon::canonical_code_oracle`]) and the fallback for larger graphs
+//!    (or for every graph when `LD_CANON_FALLBACK=1` is set).
 //!
 //! The crate also ships deterministic [`generators`] for every graph family
 //! used by the paper, plus [`ports`] (port numberings and orientations) for
@@ -66,7 +67,6 @@ pub mod traversal;
 pub use ball::{Ball, BallExtractor};
 pub use canon::{canonical_code, centered_canonical_code, CanonicalCode};
 pub use error::GraphError;
-pub use fastcanon::CanonScratch;
 pub use graph::{EdgeIter, Graph, NeighborIter, NodeId};
 pub use labeled::LabeledGraph;
 pub use ports::{Orientation, PortNumbering};

@@ -9,6 +9,11 @@
 //! computes each of these once per structural class and serves every
 //! subsequent occurrence from memory.
 //!
+//! [`ViewCache::canonical_code`] is the only code lookup.  A miss computes
+//! [`ObliviousView::canonical_code`], which canonicalises on the calling
+//! thread's kernel scratch (`ld_graph::fastcanon`), so each miss is one
+//! canonicalisation and `fastcanon::thread_kernel_calls` sees it.
+//!
 //! # Soundness
 //!
 //! Entries are keyed by the **exact view value** in a hash map (`ObliviousView`
@@ -41,7 +46,6 @@ use crate::hashing::{FxHashMap, FxHasher};
 use crate::view::ObliviousView;
 use interleave::{AtomicU64Api, RwLockApi, StdSync, SyncFacade};
 use ld_graph::canon::CanonicalCode;
-use ld_graph::CanonScratch;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -233,32 +237,6 @@ impl<L: Clone + Eq + Hash + Send + Sync, S: SyncFacade> ViewCache<L, S> {
         code
     }
 
-    /// [`ViewCache::canonical_code`] with misses computed on a caller-held
-    /// bitset-kernel scratch ([`CanonScratch`]): the enumeration loops
-    /// thread one scratch through every view of a cell, so a cold cell
-    /// canonicalises with zero per-view scratch allocation.  The lock
-    /// structure is identical to the unbatched path — canonicalisation
-    /// still runs *outside* the shard lock, no new lock scope — and the
-    /// kernel's output is byte-identical to the oracle's, so entries
-    /// written by either path serve hits to both.
-    pub fn canonical_code_in(
-        &self,
-        view: &ObliviousView<L>,
-        scratch: &mut CanonScratch,
-    ) -> Arc<CanonicalCode> {
-        if let Some(code) = self.read(view, |e| e.code.clone()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return code;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let code = Arc::new(view.canonical_code_in(scratch));
-        let stored = code.clone();
-        self.store(view, move |entry| {
-            entry.code.get_or_insert(stored);
-        });
-        code
-    }
-
     /// The verdict of the named deterministic algorithm on `view`, computed
     /// once per exact view value and served from memory afterwards.
     ///
@@ -437,63 +415,6 @@ mod tests {
         // the cache must still collapse far below one entry per node.
         let entries = cache.stats().entries;
         assert!((3..=5).contains(&entries), "entries = {entries}");
-    }
-
-    #[test]
-    fn batched_scratch_path_is_byte_identical_to_the_unbatched_path() {
-        // Warm one cache through the batched (scratch) path and one through
-        // the unbatched path: every served code must be byte-identical, and
-        // hits written by either path must serve the other.
-        let mut scratch = CanonScratch::new();
-        let batch_warmed = ViewCache::new();
-        let plain_warmed = ViewCache::new();
-        let mut views = cycle_views(16, 2);
-        views.extend(crate::enumeration::collect_oblivious_views(
-            &LabeledGraph::uniform(generators::grid(5, 4), 0u8),
-            2,
-        ));
-        for view in &views {
-            let batched = batch_warmed.canonical_code_in(view, &mut scratch);
-            let unbatched = plain_warmed.canonical_code(view);
-            assert_eq!(batched.as_slice(), unbatched.as_slice());
-            assert_eq!(batched.as_slice(), view.canonical_code().as_slice());
-        }
-        assert_eq!(batch_warmed.stats(), plain_warmed.stats());
-        // Cross-path hits: the batch-warmed cache answers unbatched lookups
-        // (and vice versa) without computing anything new.
-        let before = batch_warmed.stats();
-        for view in &views {
-            assert_eq!(
-                batch_warmed.canonical_code(view).as_slice(),
-                plain_warmed
-                    .canonical_code_in(view, &mut scratch)
-                    .as_slice()
-            );
-        }
-        let delta = batch_warmed.stats().since(&before);
-        assert_eq!(delta.misses, 0, "batch-warmed entries must serve hits");
-        assert_eq!(delta.entries, 0);
-    }
-
-    #[test]
-    fn verdicts_after_batch_warming_match_the_unbatched_path() {
-        let mut scratch = CanonScratch::new();
-        let cache = ViewCache::new();
-        let views = cycle_views(12, 1);
-        for view in &views {
-            cache.canonical_code_in(view, &mut scratch);
-        }
-        // Verdict memoization is unaffected by which path published the
-        // code entry: same verdicts, evaluated once per class.
-        let mut evaluations = 0usize;
-        for view in &views {
-            let verdict = cache.verdict("even-degree", view, |v| {
-                evaluations += 1;
-                Verdict::from_bool(v.neighbors_of_center().count() % 2 == 0)
-            });
-            assert_eq!(verdict, Verdict::Yes);
-        }
-        assert_eq!(evaluations, 1);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! (by `(distance, original id)`), structurally identical views of a swept
 //! family are usually *exactly* equal as values, so an exact-equality prepass
 //! collapses most of the input before any canonicalisation runs at all.
+//! Every code comes from [`ObliviousView::canonical_code`], directly or
+//! through [`ViewCache::canonical_code`]; both canonicalise on the calling
+//! thread's kernel scratch, so enumeration holds no canon state of its own.
 //!
 //! The seed pipeline — bucket by the Weisfeiler–Leman `canonical_key`, then
 //! confirm by backtracking isomorphism — is retained as
@@ -27,10 +30,9 @@
 
 use crate::cache::ViewCache;
 use crate::hashing::{FxHashMap, FxHashSet};
-use crate::input::Input;
-use crate::view::{ObliviousView, View};
+use crate::view::ObliviousView;
 use ld_graph::canon::CanonicalCode;
-use ld_graph::{BallExtractor, CanonScratch, LabeledGraph};
+use ld_graph::{BallExtractor, LabeledGraph};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -144,16 +146,6 @@ impl BudgetUsage {
     }
 }
 
-/// Collects the radius-`radius` view (with identifiers) of every node.
-pub fn collect_views<L: Clone>(input: &Input<L>, radius: usize) -> Vec<View<L>> {
-    let mut extractor = BallExtractor::new();
-    input
-        .graph()
-        .nodes()
-        .map(|v| input.view_with(&mut extractor, v, radius))
-        .collect()
-}
-
 /// Collects the Id-oblivious radius-`radius` view of every node of a
 /// labelled graph (identifiers are irrelevant, so none are needed).
 pub fn collect_oblivious_views<L: Clone>(
@@ -186,9 +178,7 @@ pub fn distinct_oblivious_views<L: Clone + Eq + Hash>(
 ) -> Vec<ObliviousView<L>> {
     // Exact-equality prepass: balls are numbered deterministically, so
     // repeated views of a self-similar family are usually equal as values
-    // and never need canonicalising more than once.  One kernel scratch
-    // serves every canonicalisation of the batch.
-    let mut scratch = CanonScratch::new();
+    // and never need canonicalising more than once.
     let mut exact_seen: FxHashSet<ObliviousView<L>> = FxHashSet::default();
     let mut codes: FxHashSet<CanonicalCode> = FxHashSet::default();
     let mut result = Vec::new();
@@ -196,7 +186,7 @@ pub fn distinct_oblivious_views<L: Clone + Eq + Hash>(
         if exact_seen.contains(&view) {
             continue;
         }
-        if codes.insert(view.canonical_code_in(&mut scratch)) {
+        if codes.insert(view.canonical_code()) {
             result.push(view.clone());
         }
         exact_seen.insert(view);
@@ -215,9 +205,7 @@ pub fn distinct_oblivious_views_of<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
     radius: usize,
 ) -> Vec<ObliviousView<L>> {
-    distinct_of_impl(labeled, radius, |view, scratch| {
-        Arc::new(view.canonical_code_in(scratch))
-    })
+    distinct_of_impl(labeled, radius, |view| Arc::new(view.canonical_code()))
 }
 
 /// 64-bit hash of a node's label, the `label_word` every exact-key
@@ -236,7 +224,7 @@ fn label_hash<L: Hash>(labeled: &LabeledGraph<L>, v: ld_graph::NodeId) -> u64 {
 fn distinct_of_impl<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
     radius: usize,
-    code_of: impl FnMut(&ObliviousView<L>, &mut CanonScratch) -> Arc<CanonicalCode>,
+    code_of: impl FnMut(&ObliviousView<L>) -> Arc<CanonicalCode>,
 ) -> Vec<ObliviousView<L>> {
     distinct_of_budgeted_impl(labeled, radius, EnumerationBudget::UNLIMITED, code_of).0
 }
@@ -249,10 +237,9 @@ fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
     labeled: &LabeledGraph<L>,
     radius: usize,
     budget: EnumerationBudget,
-    mut code_of: impl FnMut(&ObliviousView<L>, &mut CanonScratch) -> Arc<CanonicalCode>,
+    mut code_of: impl FnMut(&ObliviousView<L>) -> Arc<CanonicalCode>,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
     let mut extractor = BallExtractor::new();
-    let mut scratch = CanonScratch::new();
     let mut exact_seen: FxHashSet<Vec<u64>> = FxHashSet::default();
     let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
     let mut result = Vec::new();
@@ -290,7 +277,7 @@ fn distinct_of_budgeted_impl<L: Clone + Eq + Hash>(
             .collect();
         let view = ObliviousView::from_ball(ball, labels);
         usage.views_materialized += 1;
-        if codes.insert(code_of(&view, &mut scratch)) {
+        if codes.insert(code_of(&view)) {
             result.push(view);
         }
     }
@@ -308,8 +295,8 @@ pub fn distinct_oblivious_views_of_budgeted<L: Clone + Eq + Hash>(
     radius: usize,
     budget: EnumerationBudget,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
-    distinct_of_budgeted_impl(labeled, radius, budget, |view, scratch| {
-        Arc::new(view.canonical_code_in(scratch))
+    distinct_of_budgeted_impl(labeled, radius, budget, |view| {
+        Arc::new(view.canonical_code())
     })
 }
 
@@ -321,9 +308,7 @@ pub fn distinct_oblivious_views_of_budgeted_cached<L: Clone + Eq + Hash + Send +
     cache: &ViewCache<L>,
     budget: EnumerationBudget,
 ) -> (Vec<ObliviousView<L>>, BudgetUsage) {
-    distinct_of_budgeted_impl(labeled, radius, budget, |view, scratch| {
-        cache.canonical_code_in(view, scratch)
-    })
+    distinct_of_budgeted_impl(labeled, radius, budget, |view| cache.canonical_code(view))
 }
 
 /// The distinct oblivious views of a labelled graph at **every** radius
@@ -344,7 +329,6 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
 ) -> (Vec<Vec<ObliviousView<L>>>, BudgetUsage) {
     let graph = labeled.graph();
     let mut extractor = BallExtractor::new();
-    let mut scratch = CanonScratch::new();
     let mut exact_seen: Vec<FxHashSet<Vec<u64>>> = vec![FxHashSet::default(); max_radius + 1];
     let mut codes: Vec<FxHashSet<Arc<CanonicalCode>>> = vec![FxHashSet::default(); max_radius + 1];
     let mut results: Vec<Vec<ObliviousView<L>>> = vec![Vec::new(); max_radius + 1];
@@ -394,30 +378,12 @@ pub fn distinct_views_by_radius_cached<L: Clone + Eq + Hash + Send + Sync>(
                 .collect();
             let view = ObliviousView::from_ball(ball, labels);
             usage.views_materialized += 1;
-            if codes[radius].insert(cache.canonical_code_in(&view, &mut scratch)) {
+            if codes[radius].insert(cache.canonical_code(&view)) {
                 results[radius].push(view);
             }
         }
     }
     (results, usage)
-}
-
-/// [`distinct_oblivious_views`], with canonical codes served from a shared
-/// [`ViewCache`].  The result is identical; repeated canonicalisation of
-/// structurally identical views across a sweep is computed once.
-pub fn distinct_oblivious_views_cached<L: Clone + Eq + Hash + Send + Sync>(
-    views: Vec<ObliviousView<L>>,
-    cache: &ViewCache<L>,
-) -> Vec<ObliviousView<L>> {
-    let mut scratch = CanonScratch::new();
-    let mut codes: FxHashSet<Arc<CanonicalCode>> = FxHashSet::default();
-    let mut result = Vec::new();
-    for view in views {
-        if codes.insert(cache.canonical_code_in(&view, &mut scratch)) {
-            result.push(view);
-        }
-    }
-    result
 }
 
 /// [`distinct_oblivious_views_of`], routed through a shared [`ViewCache`]:
@@ -430,9 +396,7 @@ pub fn distinct_oblivious_views_of_cached<L: Clone + Eq + Hash + Send + Sync>(
     radius: usize,
     cache: &ViewCache<L>,
 ) -> Vec<ObliviousView<L>> {
-    distinct_of_impl(labeled, radius, |view, scratch| {
-        cache.canonical_code_in(view, scratch)
-    })
+    distinct_of_impl(labeled, radius, |view| cache.canonical_code(view))
 }
 
 /// The seed deduplication pipeline — Weisfeiler–Leman bucketing followed by
@@ -457,25 +421,6 @@ pub fn distinct_oblivious_views_pairwise<L: Clone + Eq + Hash>(
     result
 }
 
-/// Returns `true` if `view` is indistinguishable from some view in `family`.
-///
-/// Candidates that differ in radius, node count or edge count are rejected
-/// without canonicalising them; checking many targets against one family is
-/// cheaper through [`coverage`], which computes each family code once.
-pub fn view_occurs_in<L: Clone + Eq + Hash>(
-    view: &ObliviousView<L>,
-    family: &[ObliviousView<L>],
-) -> bool {
-    let mut scratch = CanonScratch::new();
-    let code = view.canonical_code_in(&mut scratch);
-    family.iter().any(|candidate| {
-        candidate.radius() == view.radius()
-            && candidate.node_count() == view.node_count()
-            && candidate.graph().edge_count() == view.graph().edge_count()
-            && candidate.canonical_code_in(&mut scratch) == code
-    })
-}
-
 /// The coverage of `targets` by `family`: the fraction of views in `targets`
 /// that occur (up to isomorphism) in `family`.  Experiment E2 reports this
 /// number for the interior views of `T_r` against the views of the
@@ -490,11 +435,9 @@ pub fn coverage<L: Clone + Eq + Hash>(
     }
     // Memoize by exact view value within the call: self-similar families
     // repeat the same ball layouts many times over.
-    let mut scratch = CanonScratch::new();
     let mut memo: FxHashMap<&ObliviousView<L>, CanonicalCode> = FxHashMap::default();
     for view in family.iter().chain(targets.iter()) {
-        memo.entry(view)
-            .or_insert_with(|| view.canonical_code_in(&mut scratch));
+        memo.entry(view).or_insert_with(|| view.canonical_code());
     }
     let family_codes: FxHashSet<&CanonicalCode> = family.iter().map(|v| &memo[v]).collect();
     let covered = targets
@@ -516,14 +459,11 @@ pub fn coverage_cached<L: Clone + Eq + Hash + Send + Sync>(
     if targets.is_empty() {
         return 1.0;
     }
-    let mut scratch = CanonScratch::new();
-    let family_codes: FxHashSet<Arc<CanonicalCode>> = family
-        .iter()
-        .map(|v| cache.canonical_code_in(v, &mut scratch))
-        .collect();
+    let family_codes: FxHashSet<Arc<CanonicalCode>> =
+        family.iter().map(|v| cache.canonical_code(v)).collect();
     let covered = targets
         .iter()
-        .filter(|t| family_codes.contains(&cache.canonical_code_in(t, &mut scratch)))
+        .filter(|t| family_codes.contains(&cache.canonical_code(t)))
         .count();
     covered as f64 / targets.len() as f64
 }
@@ -531,7 +471,6 @@ pub fn coverage_cached<L: Clone + Eq + Hash + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::IdAssignment;
     use ld_graph::generators;
 
     fn uniform_cycle(n: usize) -> LabeledGraph<u8> {
@@ -598,26 +537,6 @@ mod tests {
                 let engine = distinct_oblivious_views(views.clone());
                 let oracle = distinct_oblivious_views_pairwise(views);
                 assert_eq!(engine, oracle, "radius {radius}");
-            }
-        }
-    }
-
-    #[test]
-    fn collect_views_with_ids_returns_one_view_per_node() {
-        let lg = uniform_cycle(8);
-        let input = Input::new(lg, IdAssignment::consecutive(8)).unwrap();
-        let views = collect_views(&input, 1);
-        assert_eq!(views.len(), 8);
-        // With distinct identifiers every view is distinguishable from every
-        // other (different centre ids).
-        for (i, a) in views.iter().enumerate() {
-            for (j, b) in views.iter().enumerate() {
-                assert_eq!(i == j, a.indistinguishable_from(b), "views {i} vs {j}");
-                assert_eq!(
-                    i == j,
-                    a.canonical_code() == b.canonical_code(),
-                    "codes {i} vs {j}"
-                );
             }
         }
     }
@@ -759,7 +678,6 @@ mod tests {
     fn coverage_of_empty_target_set_is_total() {
         let family = distinct_oblivious_views_of(&uniform_cycle(6), 1);
         assert_eq!(coverage::<u8>(&[], &family), 1.0);
-        assert!(!view_occurs_in(&family[0], &[]));
         let cache = ViewCache::new();
         assert_eq!(coverage_cached::<u8>(&[], &family, &cache), 1.0);
     }

@@ -4,7 +4,7 @@
 use ld_graph::ball::Ball;
 use ld_graph::canon::{centered_canonical_code, CanonicalCode};
 use ld_graph::iso::{are_compatible_isomorphic, centered_wl_hash, color_of};
-use ld_graph::{CanonScratch, Graph, NodeId};
+use ld_graph::{Graph, NodeId};
 use std::hash::{Hash, Hasher};
 
 /// The radius-`t` view of a node in an input `(G, x, Id)`: the induced
@@ -203,21 +203,6 @@ impl<L: Eq + Hash> View<L> {
             .collect();
         centered_canonical_code(&self.graph, self.center, &colors).with_tag(self.radius as u64)
     }
-
-    /// [`View::canonical_code`] served from a caller-held kernel scratch —
-    /// byte-identical output, but bulk call sites skip the per-call
-    /// thread-local lookup and reuse one warmed [`CanonScratch`] across a
-    /// whole batch of views.
-    pub fn canonical_code_in(&self, scratch: &mut CanonScratch) -> CanonicalCode {
-        let colors: Vec<u64> = self
-            .graph
-            .nodes()
-            .map(|v| color_of(&(color_of(&self.labels[v.index()]), self.ids[v.index()])))
-            .collect();
-        scratch
-            .centered_code(&self.graph, self.center, &colors)
-            .with_tag(self.radius as u64)
-    }
 }
 
 /// The Id-oblivious radius-`t` view: the same information as [`View`] minus
@@ -381,22 +366,6 @@ impl<L: Eq + Hash> ObliviousView<L> {
             .collect();
         centered_canonical_code(&self.graph, self.center, &colors).with_tag(self.radius as u64)
     }
-
-    /// [`ObliviousView::canonical_code`] served from a caller-held kernel
-    /// scratch ([`CanonScratch`]) — byte-identical output; the enumeration
-    /// loops and the [`crate::cache::ViewCache`] batch path thread one
-    /// scratch through every view of a cell so scratch setup amortises
-    /// across the batch.
-    pub fn canonical_code_in(&self, scratch: &mut CanonScratch) -> CanonicalCode {
-        let colors: Vec<u64> = self
-            .graph
-            .nodes()
-            .map(|v| color_of(&self.labels[v.index()]))
-            .collect();
-        scratch
-            .centered_code(&self.graph, self.center, &colors)
-            .with_tag(self.radius as u64)
-    }
 }
 
 /// Hashing agrees with `Eq` (distances are a pure function of graph and
@@ -465,26 +434,6 @@ mod tests {
         assert_eq!(oblivious.sphere(1).len(), 2);
         assert_eq!(oblivious.distance(oblivious.center()), 0);
         assert_eq!(oblivious.neighbors_of_center().count(), 2);
-    }
-
-    #[test]
-    fn scratch_codes_are_byte_identical_to_plain_codes() {
-        let mut scratch = CanonScratch::new();
-        let input = cycle_input(12, 40);
-        for v in [NodeId(0), NodeId(5)] {
-            for radius in 0..3 {
-                let full = input.view(v, radius);
-                assert_eq!(
-                    full.canonical_code_in(&mut scratch).as_slice(),
-                    full.canonical_code().as_slice()
-                );
-                let oblivious = input.oblivious_view(v, radius);
-                assert_eq!(
-                    oblivious.canonical_code_in(&mut scratch).as_slice(),
-                    oblivious.canonical_code().as_slice()
-                );
-            }
-        }
     }
 
     #[test]

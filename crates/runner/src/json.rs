@@ -3,7 +3,7 @@
 //! The workspace builds offline with no serialization crate, so the runner
 //! carries its own codec for the two directions it needs: emitting
 //! reports, and reading them back
-//! ([`Json::parse`], the substrate of the version-compatible
+//! ([`Json::parse`], the substrate of the
 //! [`crate::summary::ReportSummary`] reader).  Rendering is fully
 //! deterministic — object keys keep insertion order and numbers format the
 //! same way on every run — which is what lets the determinism harness

@@ -39,8 +39,7 @@
 //!   cell.
 //! * **Reporters** ([`report`]) — JSON and CSV run records (schema
 //!   `ld-runner/report/v3`: header, append-only `cells` stream, trailing
-//!   summary) and a version-compatible reader ([`summary`]) that parses
-//!   v3 and the legacy v2/v1 documents alike — which is what `ldx diff`
+//!   summary) and its reader ([`summary`]) — which is what `ldx diff`
 //!   compares any two persisted reports with.
 //!
 //! The `ldx` binary (this crate's `src/bin/ldx.rs`) lists, runs, resumes

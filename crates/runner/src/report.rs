@@ -21,8 +21,7 @@
 //! single source of the rendered bytes: the in-memory renderer below and
 //! the streaming writer compose the same fragments, which is what keeps
 //! their outputs byte-identical (a differential test asserts exactly this).
-//! [`crate::summary::ReportSummary`] reads v3 plus the legacy v2 and v1
-//! documents back.
+//! [`crate::summary::ReportSummary`] reads the documents back.
 
 use crate::cell::CellResult;
 use crate::json::Json;
@@ -98,8 +97,7 @@ impl RunReport {
     /// machines for a fixed (scenario, seed, max_n, radius, budgets).
     ///
     /// Schema `ld-runner/report/v3`; see `crates/runner/DESIGN.md` for the
-    /// v2 → v3 migration notes, and [`crate::summary::ReportSummary`] for a
-    /// reader that accepts all three schema versions.
+    /// layout, and [`crate::summary::ReportSummary`] for its reader.
     fn deterministic_doc(&self) -> Json {
         Json::object()
             .set("schema", SCHEMA)

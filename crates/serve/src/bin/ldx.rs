@@ -32,9 +32,9 @@
 //! the report omits every timing- and parallelism-dependent field, so runs
 //! differing only in `--threads` (or in where they were killed) must
 //! produce byte-identical files — CI diffs exactly that.  `diff` compares
-//! any two persisted reports (any schema version: v1, v2 or v3) cell by
-//! cell.  The process exits nonzero when any cell fails or panics, and
-//! after an incomplete (`--max-shards`-limited) run.  A reader that closes
+//! two persisted `ld-runner/report/v3` reports cell by cell.  The process
+//! exits nonzero when any cell fails or panics, and after an incomplete
+//! (`--max-shards`-limited) run.  A reader that closes
 //! stdout early (`ldx run … | head -1`) only ends the console output: the
 //! sweep still completes and decides the exit status.
 //!
@@ -443,8 +443,9 @@ fn cmd_resume(args: &[String]) -> Result<bool, CliError> {
     Ok(succeeded(&summary))
 }
 
-/// Compares two persisted reports (any schema version) and prints what
-/// differs.  Returns `true` when they are equivalent.
+/// Compares two persisted `ld-runner/report/v3` reports and prints what
+/// differs (a document of any other schema is a parse error).  Returns
+/// `true` when they are equivalent.
 fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
     let [a_path, b_path] = args else {
         return Err(CliError::Usage(
@@ -524,13 +525,6 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
             "... and {} more differing cells",
             cell_differences - SHOWN
         ));
-    }
-    if a.schema != b.schema {
-        say!(
-            "note: comparing across schemas ({} vs {})",
-            a.schema,
-            b.schema
-        );
     }
     if differences.is_empty() {
         say!(

@@ -1,78 +1,47 @@
-//! Golden-file conformance: one logical run, persisted in every report
-//! schema the runner has ever written, must read back identically wherever
-//! the schemas overlap.
+//! Golden-file conformance for the report schema the runner writes.
 //!
-//! The fixtures under `tests/fixtures/` are committed artifacts: v1 is what
-//! PR 2's reporter wrote, v2 what PR 4's wrote, v3 what the streaming
-//! writer writes today.  `ReportSummary::from_json` is the single reader
-//! for all of them — these tests are the contract that a schema bump never
-//! silently reinterprets archived experiment data.
+//! `tests/fixtures/report-v3.json` is a committed artifact: one logical run
+//! in the `ld-runner/report/v3` schema.  `ReportSummary::from_json` must
+//! read every field of it back, and the in-memory reporter must render it
+//! byte for byte — so neither the reader nor the writer can silently
+//! reinterpret archived experiment data.
 
-use ld_runner::summary::{ReportSummary, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3};
+use ld_runner::summary::{ReportSummary, SCHEMA_V3};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
-fn parsed(name: &str) -> ReportSummary {
-    ReportSummary::from_json(&fixture(name)).unwrap_or_else(|e| panic!("parsing {name}: {e}"))
-}
-
 #[test]
-fn all_three_schema_fixtures_parse() {
-    assert_eq!(parsed("report-v1.json").schema, SCHEMA_V1);
-    assert_eq!(parsed("report-v2.json").schema, SCHEMA_V2);
-    assert_eq!(parsed("report-v3.json").schema, SCHEMA_V3);
-}
-
-#[test]
-fn overlapping_fields_read_identically_across_all_versions() {
-    let v1 = parsed("report-v1.json");
-    let v2 = parsed("report-v2.json");
-    let v3 = parsed("report-v3.json");
-    for (version, summary) in [("v1", &v1), ("v2", &v2), ("v3", &v3)] {
-        assert_eq!(summary.scenario, "fixture-sweep", "{version}");
-        assert_eq!(summary.max_n, 16, "{version}");
-        assert_eq!(summary.seed, 99, "{version}");
-        assert_eq!(summary.cell_count, 3, "{version}");
-        assert_eq!(summary.passed, 2, "{version}");
-        assert_eq!(summary.failed, 0, "{version}");
-        assert_eq!(summary.panicked, 1, "{version}");
-        assert_eq!(summary.cells.len(), 3, "{version}");
-        for (a, b) in summary.cells.iter().zip(&v3.cells) {
-            assert_eq!(a.id, b.id, "{version}");
-            assert_eq!(a.seed, b.seed, "{version}");
-            assert_eq!(a.status, b.status, "{version}");
-            assert_eq!(a.verdict, b.verdict, "{version}");
-            assert_eq!(a.pass, b.pass, "{version}");
-        }
-    }
-}
-
-#[test]
-fn newer_fields_degrade_to_their_documented_defaults_in_older_schemas() {
-    let v1 = parsed("report-v1.json");
-    let v2 = parsed("report-v2.json");
-    let v3 = parsed("report-v3.json");
-    // v1 predates budgets entirely.
-    assert_eq!(v1.radius, None);
-    assert_eq!(v1.node_budget, None);
-    assert_eq!(v1.exhausted, 0);
-    assert!(v1.cells.iter().all(|c| c.budget.is_none()));
-    // v2 and v3 agree on the whole budget layer.
-    for (version, summary) in [("v2", &v2), ("v3", &v3)] {
-        assert_eq!(summary.radius, Some(3), "{version}");
-        assert_eq!(summary.node_budget, Some(500), "{version}");
-        assert_eq!(summary.view_budget, None, "{version}");
-        assert_eq!(summary.exhausted, 1, "{version}");
-    }
-    assert_eq!(v2.cells[2].budget, v3.cells[2].budget);
-    assert!(v3.cells[2].budget.unwrap().exhausted);
-    // Only v3 knows the streaming shard size.
-    assert_eq!(v1.shard_size, None);
-    assert_eq!(v2.shard_size, None);
+fn v3_fixture_reads_back_every_field() {
+    let v3 = ReportSummary::from_json(&fixture("report-v3.json")).unwrap();
+    assert_eq!(v3.schema, SCHEMA_V3);
+    assert_eq!(v3.scenario, "fixture-sweep");
+    assert_eq!(v3.max_n, 16);
+    assert_eq!(v3.seed, 99);
+    assert_eq!(v3.radius, Some(3));
+    assert_eq!(v3.node_budget, Some(500));
+    assert_eq!(v3.view_budget, None);
     assert_eq!(v3.shard_size, Some(2));
+    assert_eq!(v3.cell_count, 3);
+    assert_eq!(v3.passed, 2);
+    assert_eq!(v3.failed, 0);
+    assert_eq!(v3.panicked, 1);
+    assert_eq!(v3.exhausted, 1);
+    let ids: Vec<&str> = v3.cells.iter().map(|c| c.id.as_str()).collect();
+    assert_eq!(ids, ["fixture/one", "fixture/two", "fixture/three"]);
+    let seeds: Vec<u64> = v3.cells.iter().map(|c| c.seed).collect();
+    assert_eq!(seeds, [101, 102, 103]);
+    assert_eq!(v3.cells[0].verdict.as_deref(), Some("accept"));
+    assert!(v3.cells[0].pass);
+    assert_eq!(v3.cells[1].status, "panicked");
+    assert!(!v3.cells[1].pass);
+    assert!(v3.cells[..2].iter().all(|c| c.budget.is_none()));
+    let budget = v3.cells[2].budget.unwrap();
+    assert!(budget.exhausted);
+    assert_eq!(budget.nodes_visited, 500);
+    assert_eq!(budget.views_materialized, 4);
 }
 
 /// The v3 fixture is not just parseable — it is byte-for-byte what the
