@@ -42,35 +42,6 @@ fn print_engine_equivalence() {
     );
 }
 
-/// The seed extraction pipeline, reconstructed from the retained public
-/// APIs exactly as the pre-canonicalisation `collect_oblivious_views` did
-/// it: `Graph::ball` (then a two-pass BFS) per node, a clone of the ball
-/// graph, and `ObliviousView::from_parts` (which re-derives distances with
-/// another BFS).
-fn seed_collect<L: Clone>(
-    labeled: &LabeledGraph<L>,
-    radius: usize,
-) -> Vec<local_decision::local::ObliviousView<L>> {
-    labeled
-        .graph()
-        .nodes()
-        .map(|v| {
-            let ball = labeled.graph().ball(v, radius);
-            let labels: Vec<L> = ball
-                .mapping()
-                .iter()
-                .map(|&orig| labeled.label(orig).clone())
-                .collect();
-            local_decision::local::ObliviousView::from_parts(
-                ball.graph().clone(),
-                ball.center(),
-                radius,
-                labels,
-            )
-        })
-        .collect()
-}
-
 /// Machine-readable counterpart of the Criterion output: measures the same
 /// hot paths with a plain timed loop and writes `BENCH_e11_scaling.json` at
 /// the repo root, so the perf trajectory is tracked in-tree.
@@ -103,14 +74,9 @@ fn write_perf_snapshot() {
         ));
     }
 
-    // The canonical-form engine vs the seed path, on the radius-2 grid
-    // point: `distinct_views_grid_radius2` dedups by total canonical codes
-    // (hash-set insertion over in-place ball fingerprints), `…_seedpath`
-    // reconstructs the seed pipeline end to end from the retained public
-    // APIs — two-pass ball extraction with a graph clone and a re-derived
-    // BFS (`seed_collect` below), then WL `canonical_key` bucketing plus
-    // pairwise backtracking isomorphism
-    // (`distinct_oblivious_views_pairwise`, the differential-test oracle).
+    // The canonical-form engine on the radius-2 grid point:
+    // `distinct_views_grid_radius2` dedups by total canonical codes
+    // (hash-set insertion over in-place ball fingerprints).
     {
         let side = 10usize;
         let labeled = LabeledGraph::uniform(generators::grid(side, side), 0u8);
@@ -119,13 +85,7 @@ fn write_perf_snapshot() {
             3,
             || enumeration::distinct_oblivious_views_of(&labeled, 2).len(),
         ));
-        records.push(perf::measure(
-            format!("distinct_views_grid_radius2_seedpath/{side}"),
-            3,
-            || enumeration::distinct_oblivious_views_pairwise(seed_collect(&labeled, 2)).len(),
-        ));
-        // Per-view canonicalisation cost: the total canonical code vs the
-        // WL bucketing hash it replaces on the hot path.
+        // Per-view canonicalisation cost of the total canonical code.
         let interior = labeled
             .graph()
             .nodes()
@@ -139,9 +99,6 @@ fn write_perf_snapshot() {
             .expect("grid has nodes");
         records.push(perf::measure("canonical_code_grid_view", 20, || {
             interior.canonical_code()
-        }));
-        records.push(perf::measure("canonical_key_grid_view", 20, || {
-            interior.canonical_key()
         }));
 
         // The bitset kernel vs the retained oracle on the same ≤64-node
@@ -207,11 +164,6 @@ fn bench(c: &mut Criterion) {
         let labeled = LabeledGraph::uniform(generators::grid(10, 10), 0u8);
         group.bench_function("distinct_views_grid_radius2_canonical", |b| {
             b.iter(|| enumeration::distinct_oblivious_views_of(&labeled, 2).len());
-        });
-        group.bench_function("distinct_views_grid_radius2_seedpath", |b| {
-            b.iter(|| {
-                enumeration::distinct_oblivious_views_pairwise(seed_collect(&labeled, 2)).len()
-            });
         });
     }
 

@@ -4,9 +4,9 @@
 //! Measures, on cycles, paths and grids:
 //!
 //! * radius-3 dedup through the canonical-code fast path
-//!   (`distinct_oblivious_views_of`) versus the retained pairwise oracle
-//!   (`distinct_oblivious_views_pairwise`) — the scaling gap that makes
-//!   radius-3 sweeps feasible at all;
+//!   (`distinct_oblivious_views_of`);
+//! * canonicalisation cost, bitset kernel versus the retained canon oracle
+//!   (`centered_canonical_code_oracle`);
 //! * the **incremental multi-radius profile**
 //!   (`distinct_views_by_radius_cached`, one extended BFS per node for all
 //!   radii `0..=3`) versus four independent per-radius enumerations;
@@ -27,13 +27,6 @@ use local_decision::local::enumeration::{
 use local_decision::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
-
-/// The seed per-radius pipeline: independent collection + pairwise
-/// backtracking dedup, the honest baseline for radius-3 dedup.
-fn pairwise_distinct(labeled: &LabeledGraph<u8>, radius: usize) -> usize {
-    let views = enumeration::collect_oblivious_views(labeled, radius);
-    enumeration::distinct_oblivious_views_pairwise(views).len()
-}
 
 /// Code-dedup throughput over pre-collected views, with the canonical code
 /// of each ball computed by a caller-chosen source.  Both halves of the
@@ -70,7 +63,7 @@ fn write_perf_snapshot() {
     use ld_bench::perf;
     let mut records = Vec::new();
 
-    // Radius-3 dedup scaling: canonical-code engine vs the pairwise oracle.
+    // Radius-3 dedup scaling through the canonical-code engine.
     for &n in &[64usize, 256, 1024] {
         let labeled = LabeledGraph::uniform(generators::cycle(n), 0u8);
         records.push(perf::measure(
@@ -85,11 +78,6 @@ fn write_perf_snapshot() {
             format!("distinct_views_grid_radius3/{side}"),
             3,
             || enumeration::distinct_oblivious_views_of(&labeled, 3).len(),
-        ));
-        records.push(perf::measure(
-            format!("distinct_views_grid_radius3_pairwise/{side}"),
-            2,
-            || pairwise_distinct(&labeled, 3),
         ));
     }
 
@@ -224,11 +212,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("distinct_views_grid_radius3", side),
             &side,
             |b, _| b.iter(|| enumeration::distinct_oblivious_views_of(&labeled, 3).len()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("distinct_views_grid_radius3_pairwise", side),
-            &side,
-            |b, _| b.iter(|| pairwise_distinct(&labeled, 3)),
         );
     }
 

@@ -17,7 +17,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`graph`] | graph substrate: simple graphs, labelled graphs, balls `B(v,t)`, isomorphism, generators |
+//! | [`graph`] | graph substrate: simple graphs, labelled graphs, balls `B(v,t)`, canonical codes, generators |
 //! | [`turing`] | Turing-machine substrate: machines, execution tables, window rules, machine zoo |
 //! | [`local`] | the LOCAL model: inputs `(G,x,Id)`, views, algorithm traits, decision semantics, the Id-oblivious simulation `A*` |
 //! | [`constructions`] | the paper's witness families: Section 2 layered trees, Section 3 `G(M,r)`, pyramids, promise problems |

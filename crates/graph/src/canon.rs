@@ -1,18 +1,22 @@
 //! Total canonical forms for small coloured graphs.
 //!
-//! [`wl_hash`](crate::iso::wl_hash) is only a *bucketing heuristic*: two
-//! isomorphic graphs always agree on it, but non-isomorphic graphs may
-//! collide (the 6-cycle and the disjoint union of two triangles are the
-//! classic example — every node of both looks locally like "degree 2, all
-//! neighbours degree 2", so colour refinement can never tell them apart).
-//! The seed pipeline therefore had to follow every hash bucket with pairwise
-//! backtracking isomorphism, making deduplication quadratic per bucket.
+//! An isomorphism-invariant hash is not enough to decide
+//! indistinguishability: two isomorphic graphs always agree on it, but
+//! non-isomorphic graphs may collide.  Colour-refinement hashes collide on
+//! the 6-cycle versus the disjoint union of two triangles — every node of
+//! both looks locally like "degree 2, all neighbours degree 2", so colour
+//! refinement can never tell them apart.  A hash-based dedup must therefore
+//! follow every hash bucket with pairwise isomorphism tests, which makes it
+//! quadratic per bucket.
 //!
 //! This module computes a **total invariant** instead: a [`CanonicalCode`]
 //! that is equal for two coloured (optionally centred) graphs *iff* they are
 //! isomorphic by a colour- and centre-preserving isomorphism.  Equality of
 //! codes is plain `==`, so deduplicating `k` views costs `k` hash-set
-//! insertions instead of `O(k²)` isomorphism tests.
+//! insertions instead of `O(k²)` isomorphism tests.  Code equality is the
+//! only isomorphism test the shipped libraries contain; the `ld-tests`
+//! crate checks it against an independent backtracking search
+//! (`ld_tests::oracle`).
 //!
 //! Two algorithms produce the canonical labelling behind a code:
 //!
@@ -478,7 +482,6 @@ fn refine(graph: &Graph, cells: &mut [u32], scratch: &mut RefineScratch) {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::iso::{are_centered_isomorphic, are_isomorphic, wl_hash};
 
     fn uniform(n: usize) -> Vec<u64> {
         vec![0; n]
@@ -507,21 +510,6 @@ mod tests {
         assert_ne!(
             canonical_code(&generators::cycle(6), &uniform(6)),
             canonical_code(&generators::cycle(7), &uniform(7))
-        );
-    }
-
-    #[test]
-    fn code_separates_c6_from_two_triangles_where_wl_cannot() {
-        // C6 vs C3 ∪ C3: same size, same degree sequence, and colour
-        // refinement never distinguishes them — wl_hash collides.
-        let c6 = generators::cycle(6);
-        let (two_c3, _) = generators::cycle(3).disjoint_union(&generators::cycle(3));
-        assert_eq!(wl_hash(&c6, &uniform(6)), wl_hash(&two_c3, &uniform(6)));
-        assert!(!are_isomorphic(&c6, &two_c3));
-        // The canonical code is a total invariant: it must separate them.
-        assert_ne!(
-            canonical_code(&c6, &uniform(6)),
-            canonical_code(&two_c3, &uniform(6))
         );
     }
 
@@ -586,31 +574,6 @@ mod tests {
         let code10 = canonical_code(&k10, &uniform(10));
         assert_ne!(code10, canonical_code(&k9, &uniform(9)));
         assert_eq!(code10, canonical_code(&k10, &uniform(10)));
-    }
-
-    #[test]
-    fn centered_codes_match_centered_isomorphism_on_small_graphs() {
-        // Exhaustive-ish differential check against the backtracking oracle
-        // on a handful of structured graphs and all centre pairs.
-        let graphs = [
-            generators::cycle(5),
-            generators::path(5),
-            generators::star(4),
-            generators::grid(2, 3),
-            generators::complete(4),
-        ];
-        for g in &graphs {
-            for h in &graphs {
-                for cg in g.nodes() {
-                    for ch in h.nodes() {
-                        let same = centered_canonical_code(g, cg, &uniform(g.node_count()))
-                            == centered_canonical_code(h, ch, &uniform(h.node_count()));
-                        let iso = are_centered_isomorphic(g, cg, h, ch);
-                        assert_eq!(same, iso, "graphs {g:?} @{cg} vs {h:?} @{ch}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!    inside explicit work budgets, and
 //! 3. comparing such views up to (label-preserving, centre-preserving)
 //!    isomorphism so that *indistinguishability* arguments can be executed
-//!    mechanically — exactly via the backtracking tests in [`iso`], and in
-//!    bulk via the total canonical codes in [`canon`] (equal code ⇔
-//!    isomorphic view), which turn deduplication into hash-set insertion.
+//!    mechanically — by the total canonical codes in [`canon`] (equal code
+//!    ⇔ isomorphic view), which turn deduplication into hash-set insertion.
+//!    Code equality is the one definition of indistinguishability that
+//!    ships; the backtracking isomorphism search it is checked against
+//!    lives with the tests, in `ld_tests::oracle`.
 //!    Balls of at most 64 nodes — every ball the paper's sweeps produce —
 //!    are canonicalised by the word-parallel bitset kernel in
 //!    [`fastcanon`], which emits byte-identical codes from `u64` adjacency
@@ -59,7 +61,6 @@ pub mod error;
 pub mod fastcanon;
 pub mod generators;
 pub mod graph;
-pub mod iso;
 pub mod labeled;
 pub mod ports;
 pub mod traversal;

@@ -16,10 +16,11 @@
 //! through [`ViewCache::canonical_code`]; both canonicalise on the calling
 //! thread's kernel scratch, so enumeration holds no canon state of its own.
 //!
-//! The seed pipeline — bucket by the Weisfeiler–Leman `canonical_key`, then
-//! confirm by backtracking isomorphism — is retained as
-//! [`distinct_oblivious_views_pairwise`], the differential-test oracle for
-//! the canonical-code engine (and the honest baseline in the benchmarks).
+//! Code equality is the only indistinguishability test this crate ships.
+//! The `ld-tests` crate checks it against an independent backtracking
+//! isomorphism oracle (`ld_tests::oracle`): [`distinct_oblivious_views`]
+//! must select the same representatives, in the same order, as the
+//! oracle's pairwise dedup.
 //!
 //! Radius-3 workloads additionally get **work budgets**
 //! ([`EnumerationBudget`]) — deterministic node/view caps whose exhaustion
@@ -399,28 +400,6 @@ pub fn distinct_oblivious_views_of_cached<L: Clone + Eq + Hash + Send + Sync>(
     distinct_of_impl(labeled, radius, |view| cache.canonical_code(view))
 }
 
-/// The seed deduplication pipeline — Weisfeiler–Leman bucketing followed by
-/// pairwise backtracking isomorphism — retained verbatim as the
-/// differential-test oracle for the canonical-code engine.
-pub fn distinct_oblivious_views_pairwise<L: Clone + Eq + Hash>(
-    views: Vec<ObliviousView<L>>,
-) -> Vec<ObliviousView<L>> {
-    let mut buckets: FxHashMap<u64, Vec<ObliviousView<L>>> = FxHashMap::default();
-    let mut result = Vec::new();
-    for view in views {
-        let key = view.canonical_key();
-        let bucket = buckets.entry(key).or_default();
-        if bucket
-            .iter()
-            .all(|seen| !seen.indistinguishable_from(&view))
-        {
-            bucket.push(view.clone());
-            result.push(view);
-        }
-    }
-    result
-}
-
 /// The coverage of `targets` by `family`: the fraction of views in `targets`
 /// that occur (up to isomorphism) in `family`.  Experiment E2 reports this
 /// number for the interior views of `T_r` against the views of the
@@ -519,26 +498,6 @@ mod tests {
         // cycle views.
         let tiny = distinct_oblivious_views_of(&uniform_cycle(5), 2);
         assert_eq!(coverage(&tiny, &large), 0.0);
-    }
-
-    #[test]
-    fn canonical_engine_matches_pairwise_oracle() {
-        // The new engine and the seed bucket-then-backtrack pipeline must
-        // select identical representatives in identical order.
-        for labeled in [
-            uniform_cycle(20),
-            LabeledGraph::uniform(generators::path(9), 0u8),
-            LabeledGraph::from_fn(generators::cycle(12), |v| (v.index() % 3) as u8),
-            LabeledGraph::uniform(generators::grid(4, 5), 0u8),
-            LabeledGraph::uniform(generators::complete(5), 0u8),
-        ] {
-            for radius in 0..3 {
-                let views = collect_oblivious_views(&labeled, radius);
-                let engine = distinct_oblivious_views(views.clone());
-                let oracle = distinct_oblivious_views_pairwise(views);
-                assert_eq!(engine, oracle, "radius {radius}");
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use ld_graph::ball::Ball;
 use ld_graph::canon::{centered_canonical_code, CanonicalCode};
-use ld_graph::iso::{are_compatible_isomorphic, centered_wl_hash, color_of};
 use ld_graph::{Graph, NodeId};
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// The radius-`t` view of a node in an input `(G, x, Id)`: the induced
@@ -159,42 +159,16 @@ impl<L> View<L> {
     }
 }
 
-impl<L: Eq + Hash> View<L> {
-    /// Centre-, label- and identifier-preserving isomorphism: the relation
-    /// under which a local algorithm *must* produce equal outputs.
-    pub fn indistinguishable_from(&self, other: &View<L>) -> bool {
-        if self.radius != other.radius {
-            return false;
-        }
-        are_compatible_isomorphic(
-            &self.graph,
-            &other.graph,
-            |u, v| {
-                self.labels[u.index()] == other.labels[v.index()]
-                    && self.ids[u.index()] == other.ids[v.index()]
-            },
-            &[(self.center, other.center)],
-        )
-    }
-
-    /// A hash that is invariant under view isomorphism (used to bucket views
-    /// before exact comparison).  Retained as the cheap heuristic behind the
-    /// pairwise oracle path; the engine itself uses [`View::canonical_code`].
-    pub fn canonical_key(&self) -> u64 {
-        let colors: Vec<u64> = self
-            .graph
-            .nodes()
-            .map(|v| color_of(&(color_of(&self.labels[v.index()]), self.ids[v.index()])))
-            .collect();
-        centered_wl_hash(&self.graph, self.center, &colors)
-    }
-
-    /// A **total** canonical invariant: two views have equal codes iff they
-    /// are [`indistinguishable_from`](View::indistinguishable_from) each
-    /// other.  Labels and identifiers enter the code through a 64-bit hash,
-    /// so the "iff" carries the usual content-hash caveat (a `2⁻⁶⁴`-order
-    /// collision of distinct label/id pairs could merge two views); graph
-    /// structure, centre and radius are embedded exactly.
+impl<L: Hash> View<L> {
+    /// A **total** canonical invariant, and the definition of
+    /// indistinguishability for full views: two views have equal codes iff
+    /// they have the same radius and are isomorphic by a map that keeps the
+    /// centre, the labels and the identifiers — the relation under which a
+    /// local algorithm *must* produce equal outputs.  Labels and identifiers
+    /// enter the code through a 64-bit hash, so the "iff" carries the usual
+    /// content-hash caveat (a `2⁻⁶⁴`-order collision of distinct label/id
+    /// pairs could merge two views); graph structure, centre and radius are
+    /// embedded exactly.
     pub fn canonical_code(&self) -> CanonicalCode {
         let colors: Vec<u64> = self
             .graph
@@ -324,40 +298,15 @@ impl<L> ObliviousView<L> {
     }
 }
 
-impl<L: Eq + Hash> ObliviousView<L> {
-    /// Centre- and label-preserving isomorphism (identifiers ignored): the
-    /// relation under which an Id-oblivious algorithm must produce equal
-    /// outputs.
-    pub fn indistinguishable_from(&self, other: &ObliviousView<L>) -> bool {
-        if self.radius != other.radius {
-            return false;
-        }
-        are_compatible_isomorphic(
-            &self.graph,
-            &other.graph,
-            |u, v| self.labels[u.index()] == other.labels[v.index()],
-            &[(self.center, other.center)],
-        )
-    }
-
-    /// A hash invariant under oblivious-view isomorphism.  Retained as the
-    /// bucketing heuristic behind the pairwise oracle path; the engine
-    /// itself uses [`ObliviousView::canonical_code`].
-    pub fn canonical_key(&self) -> u64 {
-        let colors: Vec<u64> = self
-            .graph
-            .nodes()
-            .map(|v| color_of(&self.labels[v.index()]))
-            .collect();
-        centered_wl_hash(&self.graph, self.center, &colors)
-    }
-
-    /// A **total** canonical invariant: two oblivious views have equal codes
-    /// iff they are
-    /// [`indistinguishable_from`](ObliviousView::indistinguishable_from)
-    /// each other (labels enter through a 64-bit hash — see
-    /// [`View::canonical_code`] for the collision caveat).  Dedup and
-    /// coverage reduce to hash-set operations on these codes.
+impl<L: Hash> ObliviousView<L> {
+    /// A **total** canonical invariant, and the definition of
+    /// indistinguishability for Id-oblivious views: two oblivious views have
+    /// equal codes iff they have the same radius and are isomorphic by a map
+    /// that keeps the centre and the labels — the relation under which an
+    /// Id-oblivious algorithm must produce equal outputs (labels enter
+    /// through a 64-bit hash — see [`View::canonical_code`] for the
+    /// collision caveat).  Dedup and coverage reduce to hash-set operations
+    /// on these codes.
     pub fn canonical_code(&self) -> CanonicalCode {
         let colors: Vec<u64> = self
             .graph
@@ -366,6 +315,14 @@ impl<L: Eq + Hash> ObliviousView<L> {
             .collect();
         centered_canonical_code(&self.graph, self.center, &colors).with_tag(self.radius as u64)
     }
+}
+
+/// Hashes a label (or a label/identifier pair) into the `u64` colour space
+/// the canonical codes are computed over.
+fn color_of<T: Hash>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Hashing agrees with `Eq` (distances are a pure function of graph and
@@ -399,25 +356,26 @@ mod tests {
         // identifiers — the basic indistinguishability the paper exploits.
         let a = cycle_input(10, 0).oblivious_view(NodeId(3), 2);
         let b = cycle_input(30, 0).oblivious_view(NodeId(17), 2);
-        assert!(a.indistinguishable_from(&b));
-        assert_eq!(a.canonical_key(), b.canonical_key());
+        assert_eq!(a.canonical_code(), b.canonical_code());
     }
 
     #[test]
     fn identifier_differences_break_full_view_indistinguishability() {
         let a = cycle_input(10, 0).view(NodeId(3), 2);
         let b = cycle_input(10, 100).view(NodeId(3), 2);
-        assert!(!a.indistinguishable_from(&b));
-        assert!(a.to_oblivious().indistinguishable_from(&b.to_oblivious()));
+        assert_ne!(a.canonical_code(), b.canonical_code());
+        assert_eq!(
+            a.to_oblivious().canonical_code(),
+            b.to_oblivious().canonical_code()
+        );
     }
 
     #[test]
-    fn same_input_same_node_is_indistinguishable_from_itself() {
+    fn same_input_same_node_has_the_same_code() {
         let input = cycle_input(12, 40);
         let a = input.view(NodeId(5), 3);
         let b = input.view(NodeId(5), 3);
-        assert!(a.indistinguishable_from(&b));
-        assert_eq!(a.canonical_key(), b.canonical_key());
+        assert_eq!(a.canonical_code(), b.canonical_code());
     }
 
     #[test]
@@ -441,7 +399,7 @@ mod tests {
         let input = cycle_input(12, 0);
         let a = input.oblivious_view(NodeId(0), 2);
         let b = input.oblivious_view(NodeId(0), 3);
-        assert!(!a.indistinguishable_from(&b));
+        assert_ne!(a.canonical_code(), b.canonical_code());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Differential tests for the canonical-form engine: on random small
 //! labelled graphs and random centre pairs, `canonical_code(a) ==
 //! canonical_code(b)` must hold **iff** the backtracking oracle
-//! `indistinguishable_from(a, b)` says the views are isomorphic — the
-//! canonical code is a *total* invariant, unlike the Weisfeiler–Leman
-//! `canonical_key`, which is only guaranteed to agree on isomorphic inputs.
+//! (`ld_tests::oracle`) says the views are isomorphic — the canonical code
+//! is a *total* invariant, unlike an isomorphism-invariant hash, which is
+//! only guaranteed to agree on isomorphic inputs.
 //!
-//! The unit tests pin the classic WL blind spot: the 6-cycle versus two
-//! disjoint triangles collide under `wl_hash` (every node of both graphs is
-//! "degree 2 among degree 2s" forever) but get distinct canonical codes.
+//! The unit tests pin the classic colour-refinement blind spot: the 6-cycle
+//! and two disjoint triangles (every node of both graphs is "degree 2 among
+//! degree 2s" forever) are not isomorphic and get distinct canonical codes.
 
+use ld_tests::oracle::{self, distinct_pairwise, oblivious_indistinguishable};
 use ld_tests::strategies::{adversarial_ball, small_view_parts};
 use local_decision::graph::canon::{canonical_code, centered_canonical_code};
-use local_decision::graph::iso::{are_isomorphic, wl_hash};
 use local_decision::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,7 +39,7 @@ proptest! {
         let vb = ObliviousView::from_parts(gb, NodeId::from(cb), rb, lb);
         prop_assert_eq!(
             va.canonical_code() == vb.canonical_code(),
-            va.indistinguishable_from(&vb)
+            oblivious_indistinguishable(&va, &vb)
         );
     }
 
@@ -67,7 +67,7 @@ proptest! {
         let vb = ObliviousView::from_parts(
             relabeled, NodeId::from(perm[center]), radius, new_labels,
         );
-        prop_assert!(va.indistinguishable_from(&vb));
+        prop_assert!(oblivious_indistinguishable(&va, &vb));
         prop_assert_eq!(va.canonical_code(), vb.canonical_code());
     }
 
@@ -88,22 +88,22 @@ proptest! {
                 prop_assert_eq!(
                     centered_canonical_code(&graph, u, &colors)
                         == centered_canonical_code(&graph, v, &colors),
-                    vu.indistinguishable_from(&vv)
+                    oblivious_indistinguishable(&vu, &vv)
                 );
             }
         }
     }
 
     /// The engine-level consequence: `distinct_oblivious_views` keyed by
-    /// canonical codes selects exactly the representatives the seed
-    /// bucket-then-backtrack pipeline selects, in the same order.
+    /// canonical codes selects exactly the representatives the oracle's
+    /// pairwise dedup selects, in the same order.
     #[test]
     fn distinct_views_match_pairwise_oracle(parts in arbitrary_view_parts()) {
         let (graph, labels, _, radius) = parts;
         let labeled = LabeledGraph::new(graph, labels).unwrap();
         let views = enumeration::collect_oblivious_views(&labeled, radius);
         let engine = enumeration::distinct_oblivious_views(views.clone());
-        let oracle = enumeration::distinct_oblivious_views_pairwise(views);
+        let oracle = distinct_pairwise(views);
         prop_assert_eq!(engine, oracle);
     }
 }
@@ -136,15 +136,61 @@ proptest! {
     }
 }
 
+/// The fixed-family form of `distinct_views_match_pairwise_oracle`: the
+/// engine and the oracle's pairwise dedup select identical representatives
+/// in identical order on cycles, paths, labelled cycles, grids and cliques.
+#[test]
+fn canonical_engine_matches_pairwise_oracle() {
+    for labeled in [
+        LabeledGraph::uniform(generators::cycle(20), 0u8),
+        LabeledGraph::uniform(generators::path(9), 0u8),
+        LabeledGraph::from_fn(generators::cycle(12), |v| (v.index() % 3) as u8),
+        LabeledGraph::uniform(generators::grid(4, 5), 0u8),
+        LabeledGraph::uniform(generators::complete(5), 0u8),
+    ] {
+        for radius in 0..3 {
+            let views = enumeration::collect_oblivious_views(&labeled, radius);
+            let engine = enumeration::distinct_oblivious_views(views.clone());
+            let oracle = distinct_pairwise(views);
+            assert_eq!(engine, oracle, "radius {radius}");
+        }
+    }
+}
+
+/// Centred codes against the oracle on a handful of structured graphs and
+/// all centre pairs, exhaustively.
+#[test]
+fn centered_codes_match_centered_isomorphism_on_small_graphs() {
+    let graphs = [
+        generators::cycle(5),
+        generators::path(5),
+        generators::star(4),
+        generators::grid(2, 3),
+        generators::complete(4),
+    ];
+    for g in &graphs {
+        for h in &graphs {
+            for cg in g.nodes() {
+                for ch in h.nodes() {
+                    let same = centered_canonical_code(g, cg, &vec![0; g.node_count()])
+                        == centered_canonical_code(h, ch, &vec![0; h.node_count()]);
+                    let iso = oracle::isomorphic(g, h, |_, _| true, &[(cg, ch)]);
+                    assert_eq!(same, iso, "graphs {g:?} @{cg} vs {h:?} @{ch}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn c6_vs_two_triangles_separated_by_code_not_by_wl() {
     let c6 = generators::cycle(6);
     let (two_c3, _) = generators::cycle(3).disjoint_union(&generators::cycle(3));
     let uniform = vec![0u64; 6];
-    // Same WL hash (colour refinement is blind to this pair) …
-    assert_eq!(wl_hash(&c6, &uniform), wl_hash(&two_c3, &uniform));
-    // … but not isomorphic, and the canonical code knows it.
-    assert!(!are_isomorphic(&c6, &two_c3));
+    // Every node of both graphs is "degree 2 among degree 2s" forever, so
+    // colour refinement is blind to this pair … but they are not
+    // isomorphic, and the canonical code knows it.
+    assert!(!oracle::isomorphic(&c6, &two_c3, |_, _| true, &[]));
     assert_ne!(
         canonical_code(&c6, &uniform),
         canonical_code(&two_c3, &uniform)
@@ -158,8 +204,7 @@ fn regular_bipartite_wl_blind_spot_is_separated() {
     let c12 = generators::cycle(12);
     let (c8_c4, _) = generators::cycle(8).disjoint_union(&generators::cycle(4));
     let uniform = vec![0u64; 12];
-    assert_eq!(wl_hash(&c12, &uniform), wl_hash(&c8_c4, &uniform));
-    assert!(!are_isomorphic(&c12, &c8_c4));
+    assert!(!oracle::isomorphic(&c12, &c8_c4, |_, _| true, &[]));
     assert_ne!(
         canonical_code(&c12, &uniform),
         canonical_code(&c8_c4, &uniform)

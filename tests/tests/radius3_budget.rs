@@ -2,12 +2,12 @@
 //! enumeration layer.
 //!
 //! The canonical-code fast path (`distinct_oblivious_views_of`) must agree
-//! with the retained seed pipeline — Weisfeiler–Leman bucketing plus
-//! pairwise backtracking isomorphism (`distinct_oblivious_views_pairwise`)
-//! — on radius-3 views of arbitrary small graphs, and the budgeted
-//! variants must be exact under an unlimited budget and deterministically
-//! prefix-stable under a tight one.
+//! with pairwise dedup by the backtracking isomorphism oracle
+//! (`ld_tests::oracle::distinct_pairwise`) on radius-3 views of arbitrary
+//! small graphs, and the budgeted variants must be exact under an unlimited
+//! budget and deterministically prefix-stable under a tight one.
 
+use ld_tests::oracle::distinct_pairwise;
 use local_decision::local::cache::ViewCache;
 use local_decision::local::enumeration::{
     distinct_oblivious_views_of_budgeted, distinct_views_by_radius_cached, EnumerationBudget,
@@ -38,7 +38,7 @@ proptest! {
     fn radius3_dedup_agrees_with_the_pairwise_oracle(labeled in arbitrary_labeled()) {
         let views = enumeration::collect_oblivious_views(&labeled, 3);
         let engine = enumeration::distinct_oblivious_views(views.clone());
-        let oracle = enumeration::distinct_oblivious_views_pairwise(views);
+        let oracle = distinct_pairwise(views);
         prop_assert_eq!(&engine, &oracle);
         // The in-place fast path and its budgeted twin agree with both.
         let fast = enumeration::distinct_oblivious_views_of(&labeled, 3);

@@ -1,9 +1,12 @@
 //! Property-based tests for the canonicalisation layer every
 //! indistinguishability harness (and now the runner's shared view cache)
-//! rests on: `canonical_key` and `indistinguishable_from` must be invariant
-//! under node relabelings and under label-preserving port permutations
-//! (re-orderings of each node's adjacency list).
+//! rests on: `canonical_code` — the shipped definition of
+//! indistinguishability — must be invariant under node relabelings and
+//! under label-preserving port permutations (re-orderings of each node's
+//! adjacency list), and so must the backtracking oracle
+//! (`ld_tests::oracle`) it is checked against.
 
+use ld_tests::oracle::{indistinguishable, oblivious_indistinguishable};
 use local_decision::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,9 +55,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Relabeling the nodes of a view (and mapping centre, labels and ids
-    /// along) never changes `canonical_key` or distinguishability.
+    /// along) never changes `canonical_code` or distinguishability.
     #[test]
-    fn canonical_key_invariant_under_node_relabeling(
+    fn canonical_code_invariant_under_node_relabeling(
         parts in arbitrary_view_parts(),
         seed in any::<u64>(),
     ) {
@@ -78,20 +81,20 @@ proptest! {
             relabeled, NodeId::from(perm[center]), radius, new_labels.clone(), new_ids,
         );
 
-        prop_assert_eq!(view.canonical_key(), relabeled_view.canonical_key());
-        prop_assert!(view.indistinguishable_from(&relabeled_view));
+        prop_assert_eq!(view.canonical_code(), relabeled_view.canonical_code());
+        prop_assert!(indistinguishable(&view, &relabeled_view));
 
         let oblivious = view.without_ids();
         let relabeled_oblivious = relabeled_view.without_ids();
-        prop_assert_eq!(oblivious.canonical_key(), relabeled_oblivious.canonical_key());
-        prop_assert!(oblivious.indistinguishable_from(&relabeled_oblivious));
+        prop_assert_eq!(oblivious.canonical_code(), relabeled_oblivious.canonical_code());
+        prop_assert!(oblivious_indistinguishable(&oblivious, &relabeled_oblivious));
     }
 
     /// Re-ordering every node's ports (adjacency lists) while keeping node
-    /// names and labels fixed never changes `canonical_key` or
+    /// names and labels fixed never changes `canonical_code` or
     /// distinguishability.
     #[test]
-    fn canonical_key_invariant_under_port_permutation(
+    fn canonical_code_invariant_under_port_permutation(
         parts in arbitrary_view_parts(),
         seed in any::<u64>(),
     ) {
@@ -100,29 +103,35 @@ proptest! {
         prop_assert_eq!(graph.node_count(), permuted.node_count());
         prop_assert_eq!(graph.edge_count(), permuted.edge_count());
 
-        let a = ObliviousView::from_parts(
-            graph, NodeId::from(center), radius, labels.clone(),
-        );
-        let b = ObliviousView::from_parts(
-            permuted, NodeId::from(center), radius, labels,
-        );
-        prop_assert_eq!(a.canonical_key(), b.canonical_key());
-        prop_assert!(a.indistinguishable_from(&b));
+        let ids: Vec<u64> = (0..graph.node_count() as u64).map(|i| 100 + 7 * i).collect();
+        let a = View::from_parts(graph, NodeId::from(center), radius, labels.clone(), ids.clone());
+        let b = View::from_parts(permuted, NodeId::from(center), radius, labels, ids);
+        prop_assert_eq!(a.canonical_code(), b.canonical_code());
+        prop_assert!(indistinguishable(&a, &b));
+
+        let (a, b) = (a.without_ids(), b.without_ids());
+        prop_assert_eq!(a.canonical_code(), b.canonical_code());
+        prop_assert!(oblivious_indistinguishable(&a, &b));
     }
 
     /// Distinct centres in an asymmetric position, or distinct labels, do
-    /// change the key with overwhelming probability — the key is not a
-    /// constant.  (Sanity check that the invariance tests test something.)
+    /// change the code — the code is not a constant.  (Sanity check that
+    /// the invariance tests test something.)
     #[test]
-    fn canonical_key_depends_on_labels(parts in arbitrary_view_parts()) {
+    fn canonical_code_depends_on_labels(parts in arbitrary_view_parts()) {
         let (graph, labels, center, radius) = parts;
-        let a = ObliviousView::from_parts(
-            graph.clone(), NodeId::from(center), radius, labels.clone(),
+        let ids: Vec<u64> = (0..graph.node_count() as u64).map(|i| 100 + 7 * i).collect();
+        let a = View::from_parts(
+            graph.clone(), NodeId::from(center), radius, labels.clone(), ids.clone(),
         );
         let mut flipped = labels;
         flipped[center] = flipped[center].wrapping_add(1) % 3;
-        let b = ObliviousView::from_parts(graph, NodeId::from(center), radius, flipped);
-        prop_assert_ne!(a.canonical_key(), b.canonical_key());
-        prop_assert!(!a.indistinguishable_from(&b));
+        let b = View::from_parts(graph, NodeId::from(center), radius, flipped, ids);
+        prop_assert_ne!(a.canonical_code(), b.canonical_code());
+        prop_assert!(!indistinguishable(&a, &b));
+
+        let (a, b) = (a.without_ids(), b.without_ids());
+        prop_assert_ne!(a.canonical_code(), b.canonical_code());
+        prop_assert!(!oblivious_indistinguishable(&a, &b));
     }
 }
