@@ -184,18 +184,17 @@ impl Scope {
             || path.starts_with("crates/serve/src/"))
             && !path.contains("/bin/")
             && !path.starts_with("crates/runner/src/scenarios/");
-        // The bitset canon kernel sits on every sweep's hot path and is
-        // differenced byte-for-byte against the oracle; a panic in it
-        // takes the whole dedup pipeline down, so it gets the same
+        // Canonicalisation sits on every sweep's dedup hot path; a panic
+        // in it takes the whole dedup pipeline down, so it gets the same
         // no-unwrap discipline as the runner, local and serve libraries.
-        let canon_kernel = path == "crates/graph/src/fastcanon.rs";
+        let canon = path == "crates/graph/src/canon.rs";
         Scope {
             d001: first_party,
             d002: first_party && !perf_module,
             // Every crate root in the workspace, vendored stand-ins
             // included: they are first-party code wearing external names.
             d003: path == "src/lib.rs" || path.ends_with("/src/lib.rs"),
-            d004: no_unwrap_lib || canon_kernel,
+            d004: no_unwrap_lib || canon,
             d005: first_party,
         }
     }
@@ -578,9 +577,9 @@ mod tests {
             let (findings, _) = run(in_scope, src);
             assert_eq!(rules_of(&findings), [Rule::D004], "{in_scope}");
         }
-        // The canon kernel is individually in scope; its sibling graph
+        // The canon module is individually in scope; its sibling graph
         // modules stay exempt.
-        let (findings, _) = run("crates/graph/src/fastcanon.rs", src);
+        let (findings, _) = run("crates/graph/src/canon.rs", src);
         assert_eq!(rules_of(&findings), [Rule::D004]);
         for exempt in [
             "crates/graph/src/x.rs",

@@ -100,18 +100,6 @@ fn write_perf_snapshot() {
         records.push(perf::measure("canonical_code_grid_view", 20, || {
             interior.canonical_code()
         }));
-
-        // The bitset kernel vs the retained oracle on the same ≤64-node
-        // ball: `canonical_code_grid_view` above dispatches to the kernel on
-        // this thread's scratch, `…_oracle` runs the original
-        // individualisation–refinement path.
-        use local_decision::graph::canon::centered_canonical_code_oracle;
-        let ball_graph = interior.graph().clone();
-        let colors = vec![0u64; ball_graph.node_count()];
-        let center = interior.center();
-        records.push(perf::measure("canonical_code_grid_view_oracle", 20, || {
-            centered_canonical_code_oracle(&ball_graph, center, &colors)
-        }));
     }
 
     let labeled = LabeledGraph::from_fn(generators::grid(16, 16), |v| (v.index() % 5) as u8);

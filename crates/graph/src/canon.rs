@@ -42,6 +42,7 @@
 //! (a 2⁻⁶⁴-style collision risk, same order as trusting any content hash).
 
 use crate::graph::{Graph, NodeId};
+use std::cell::Cell;
 
 /// A total canonical invariant of a coloured (optionally centred) graph.
 ///
@@ -58,13 +59,6 @@ impl CanonicalCode {
     /// always at least the 3-word header, even for the empty graph.
     pub fn as_slice(&self) -> &[u64] {
         &self.0
-    }
-
-    /// Wraps words the bitset kernel emitted.  Crate-private: the only
-    /// producers of code words are this module and [`crate::fastcanon`],
-    /// which mirrors this module's encode layout byte for byte.
-    pub(crate) fn from_words(words: Vec<u64>) -> Self {
-        CanonicalCode(words)
     }
 
     /// Appends a context word (e.g. a view radius) to the code.  Codes with
@@ -96,52 +90,22 @@ pub fn centered_canonical_code(graph: &Graph, center: NodeId, colors: &[u64]) ->
     canonical_form(graph, Some(center), colors)
 }
 
-/// [`canonical_code`], forced onto the original refinement +
-/// branch-and-bound path.  This is the **differential oracle** for the
-/// bitset kernel in [`crate::fastcanon`]: the kernel must reproduce these
-/// bytes exactly, and `tests/tests/fastcanon_differential.rs` holds it to
-/// that.  Production callers want [`canonical_code`], which picks the fast
-/// path automatically.
-///
-/// # Panics
-///
-/// Panics if `colors.len() != graph.node_count()`.
-pub fn canonical_code_oracle(graph: &Graph, colors: &[u64]) -> CanonicalCode {
-    oracle_form(graph, None, colors)
+thread_local! {
+    /// Canonicalisations run on this thread, behind [`thread_canon_calls`].
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// [`centered_canonical_code`], forced onto the original path — the centred
-/// differential oracle for the bitset kernel.
-///
-/// # Panics
-///
-/// Panics if `center` is out of range or `colors.len() != graph.node_count()`.
-pub fn centered_canonical_code_oracle(
-    graph: &Graph,
-    center: NodeId,
-    colors: &[u64],
-) -> CanonicalCode {
-    oracle_form(graph, Some(center), colors)
+/// How many canonicalisations ([`canonical_code`] and
+/// [`centered_canonical_code`] calls) have run on this thread.  Thread-local,
+/// so concurrently running tests cannot perturb each other's counts.
+pub fn thread_canon_calls() -> u64 {
+    CALLS.with(Cell::get)
 }
 
-/// Shared entry point: balls in the ≤ 64-node regime run on the
-/// word-parallel kernel ([`crate::fastcanon`], byte-identical output unless
-/// `LD_CANON_FALLBACK` forces the oracle); everything else takes the
-/// original tree / search paths.
+/// Shared entry point: the header fast path for the empty graph, AHU for
+/// trees, and refinement plus branch-and-bound search otherwise.
 fn canonical_form(graph: &Graph, center: Option<NodeId>, colors: &[u64]) -> CanonicalCode {
-    if crate::fastcanon::accelerates(graph) {
-        // The kernel re-validates the colour/centre contracts and mirrors
-        // this module's orderings exactly; see its module docs for why the
-        // bytes cannot differ.
-        return crate::fastcanon::thread_form(graph, center, colors);
-    }
-    oracle_form(graph, center, colors)
-}
-
-/// The original canonicalisation pipeline (header fast path, AHU trees,
-/// refinement + branch-and-bound search) — the target of every oracle entry
-/// point and the fallback for graphs the kernel does not support.
-pub(crate) fn oracle_form(graph: &Graph, center: Option<NodeId>, colors: &[u64]) -> CanonicalCode {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
     let n = graph.node_count();
     assert_eq!(n, colors.len(), "one colour per node is required");
     if let Some(c) = center {
@@ -158,7 +122,7 @@ pub(crate) fn oracle_form(graph: &Graph, center: Option<NodeId>, colors: &[u64])
 }
 
 /// Centre marker used in the code header when no centre is distinguished.
-pub(crate) const NO_CENTER: u64 = u64::MAX;
+const NO_CENTER: u64 = u64::MAX;
 
 /// Emits the code of `graph` under the canonical labelling `perm`
 /// (`perm[old] = new`): header, colours in canonical order, sorted edges.
@@ -198,15 +162,20 @@ fn tree_code(graph: &Graph, center: Option<NodeId>, colors: &[u64]) -> Canonical
         Some(c) => vec![c],
         None => tree_centers(graph),
     };
-    let code = roots
-        .into_iter()
-        .map(|root| {
-            let perm = rooted_tree_perm(graph, root, colors);
-            encode(graph, center, colors, &perm)
-        })
-        .min()
-        .expect("a non-empty tree has at least one candidate root");
-    CanonicalCode(code)
+    let mut best = Vec::new();
+    for root in roots {
+        let perm = rooted_tree_perm(graph, root, colors);
+        keep_least(&mut best, encode(graph, center, colors, &perm));
+    }
+    CanonicalCode(best)
+}
+
+/// Keeps the lexicographically least candidate code in `best`, where an
+/// empty `best` means "no candidate yet" (every code has a 3-word header).
+fn keep_least(best: &mut Vec<u64>, code: Vec<u64>) {
+    if best.is_empty() || code < *best {
+        *best = code;
+    }
 }
 
 /// The 1 or 2 centres of a tree, found by repeatedly stripping leaves.
@@ -215,10 +184,7 @@ fn tree_centers(graph: &Graph) -> Vec<NodeId> {
     if n == 1 {
         return vec![NodeId(0)];
     }
-    let mut degree: Vec<usize> = graph
-        .nodes()
-        .map(|v| graph.degree(v).expect("node is in range"))
-        .collect();
+    let mut degree: Vec<usize> = graph.nodes().map(|v| graph.neighbors(v).count()).collect();
     let mut layer: Vec<NodeId> = graph.nodes().filter(|v| degree[v.index()] <= 1).collect();
     let mut remaining = n;
     while remaining > 2 {
@@ -327,10 +293,11 @@ fn search_code(graph: &Graph, center: Option<NodeId>, colors: &[u64]) -> Canonic
         cells[keyed[i].2] = rank;
     }
 
-    let mut best: Option<Vec<u64>> = None;
+    // The search reaches at least one discrete leaf, so `best` ends non-empty.
+    let mut best = Vec::new();
     let mut scratch = RefineScratch::default();
     refine_and_branch(graph, center, colors, cells, &mut best, &mut scratch);
-    CanonicalCode(best.expect("the search visits at least one discrete leaf"))
+    CanonicalCode(best)
 }
 
 /// Buffers reused by every [`refine`] call of one search: the search tree
@@ -351,20 +318,13 @@ fn refine_and_branch(
     center: Option<NodeId>,
     colors: &[u64],
     mut cells: Vec<u32>,
-    best: &mut Option<Vec<u64>>,
+    best: &mut Vec<u64>,
     scratch: &mut RefineScratch,
 ) {
     refine(graph, &mut cells, scratch);
     let n = graph.node_count();
+    // Cell ids are the ranks `0..cell_count`, so every cell is non-empty.
     let cell_count = cells.iter().copied().max().map_or(0, |m| m as usize + 1);
-    if cell_count == n {
-        // Discrete: the partition is the canonical labelling candidate.
-        let code = encode(graph, center, colors, &cells);
-        if !best.as_ref().is_some_and(|b| *b <= code) {
-            *best = Some(code);
-        }
-        return;
-    }
 
     // First smallest non-singleton cell (cell ids are isomorphism-invariant
     // ranks, so this choice is invariant too).
@@ -372,10 +332,14 @@ fn refine_and_branch(
     for &c in &cells {
         sizes[c as usize] += 1;
     }
-    let target = (0..cell_count)
+    let Some(target) = (0..cell_count)
         .filter(|&c| sizes[c] > 1)
         .min_by_key(|&c| (sizes[c], c))
-        .expect("a non-discrete partition has a non-singleton cell");
+    else {
+        // Discrete: the partition is the canonical labelling candidate.
+        keep_least(best, encode(graph, center, colors, &cells));
+        return;
+    };
     let members: Vec<usize> = (0..n).filter(|&v| cells[v] as usize == target).collect();
 
     // Branch pruning: when the target cell induces a clique or an
@@ -384,7 +348,7 @@ fn refine_and_branch(
     // branches are identical, so one suffices.  This is what keeps complete
     // graphs linear instead of factorial.
     let branch_once = interchangeable(graph, &members);
-    let fresh = cells.iter().copied().max().expect("n > 0") + 1;
+    let fresh = cell_count as u32;
     for &v in &members {
         let mut next = cells.clone();
         next[v] = fresh;
@@ -588,26 +552,15 @@ mod tests {
 
     #[test]
     fn public_entry_points_dispatch_on_the_64_node_boundary() {
-        // 63- and 64-node graphs run on the bitset kernel; 65 nodes fall
-        // back — and both sides of the seam agree with the oracle bytes.
-        // (Counter is thread-local, so parallel test threads cannot race it.)
-        if crate::fastcanon::fallback_forced() {
-            return;
-        }
-        for (n, kernel_delta) in [(63usize, 1u64), (64, 1), (65, 0)] {
+        // Every call counts once, centred or not, at every size.  (The
+        // counter is thread-local, so parallel test threads cannot race it.)
+        for n in [63usize, 64, 65] {
             let g = generators::path(n);
-            let before = crate::fastcanon::thread_kernel_calls();
-            let dispatched = centered_canonical_code(&g, NodeId(1), &uniform(n));
-            assert_eq!(
-                crate::fastcanon::thread_kernel_calls(),
-                before + kernel_delta,
-                "{n}-node dispatch"
-            );
-            assert_eq!(
-                dispatched,
-                centered_canonical_code_oracle(&g, NodeId(1), &uniform(n)),
-                "{n}-node code must match the oracle bytes"
-            );
+            let before = thread_canon_calls();
+            centered_canonical_code(&g, NodeId(1), &uniform(n));
+            assert_eq!(thread_canon_calls(), before + 1, "{n}-node centred call");
+            canonical_code(&g, &uniform(n));
+            assert_eq!(thread_canon_calls(), before + 2, "{n}-node uncentred call");
         }
     }
 

@@ -10,9 +10,8 @@
 //! subsequent occurrence from memory.
 //!
 //! [`ViewCache::canonical_code`] is the only code lookup.  A miss computes
-//! [`ObliviousView::canonical_code`], which canonicalises on the calling
-//! thread's kernel scratch (`ld_graph::fastcanon`), so each miss is one
-//! canonicalisation and `fastcanon::thread_kernel_calls` sees it.
+//! [`ObliviousView::canonical_code`], so each miss is one canonicalisation
+//! on the calling thread and `ld_graph::canon::thread_canon_calls` counts it.
 //!
 //! # Soundness
 //!

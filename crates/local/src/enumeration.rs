@@ -13,8 +13,8 @@
 //! family are usually *exactly* equal as values, so an exact-equality prepass
 //! collapses most of the input before any canonicalisation runs at all.
 //! Every code comes from [`ObliviousView::canonical_code`], directly or
-//! through [`ViewCache::canonical_code`]; both canonicalise on the calling
-//! thread's kernel scratch, so enumeration holds no canon state of its own.
+//! through [`ViewCache::canonical_code`], so enumeration holds no canon
+//! state of its own.
 //!
 //! Code equality is the only indistinguishability test this crate ships.
 //! The `ld-tests` crate checks it against an independent backtracking

@@ -9,8 +9,8 @@
 //!   `model_properties.rs`) check that relation against this independent
 //!   search.
 //! - [`strategies`]: shared proptest generators for adversarial local
-//!   views, reused by the canonical-code differential suites
-//!   (`canon_differential.rs`, `fastcanon_differential.rs`).
+//!   views, used by the canonical-code differential suite
+//!   (`canon_differential.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

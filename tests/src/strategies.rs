@@ -1,23 +1,21 @@
 //! Shared proptest strategies for the canonical-code differential suites.
 //!
-//! The bitset kernel (`ld_graph::fastcanon`) and the original
-//! individualisation–refinement / AHU path (`ld_graph::canon`, retained as
-//! the differential *oracle*) must emit **byte-identical** codes.  The
-//! strategies here generate the inputs that stress that contract hardest:
+//! The strategies here generate the inputs that stress canonicalisation
+//! hardest:
 //!
-//! - the exactly-64-node boundary of the kernel's `u64`-row regime (an
-//!   8×8 grid, `cycle(64)`, `path(64)`, a 64-node random tree) next to
-//!   63- and 65-node neighbours, so dispatch-seam bugs cannot hide;
+//! - large symmetric instances of 63, 64 and 65 nodes (an 8×8 grid,
+//!   `cycle(64)`, `path(64)`, a 64-node random tree, `cycle(63)`,
+//!   `cycle(65)`);
 //! - disconnected remainders (disjoint unions), which exercise the
-//!   multi-root handling of both engines;
+//!   multi-root handling of the tree and search paths;
 //! - duplicate-colour orbits (uniform and two-colour palettes), which
 //!   maximise the symmetry the refinement loop has to break;
-//! - port-permuted relabelings — guaranteed-isomorphic pairs, so the
-//!   "isomorphic ⇒ equal code" direction is exercised on *every* case
-//!   rather than by collision luck;
+//! - port-permuted relabelings ([`BallCase::permuted_copy`]) —
+//!   guaranteed-isomorphic pairs, so the "isomorphic ⇒ equal code"
+//!   direction is exercised on *every* case rather than by collision luck;
 //! - Turing-machine execution grids from the paper's Section 3
-//!   construction (`build_gmr`), the workload the kernel accelerates in
-//!   anger.
+//!   construction (`build_gmr`), the balls the randomized sweeps
+//!   canonicalise.
 //!
 //! The vendored proptest stand-in has no `prop_oneof`/`prop_flat_map`, so
 //! family unions are built manually: a `(family, colour_mode, seed)` tuple
@@ -33,9 +31,7 @@ use std::hash::{Hash, Hasher};
 /// and a view radius.
 #[derive(Debug, Clone)]
 pub struct BallCase {
-    /// The ball's underlying simple graph (1 ..= ~70 nodes; most families
-    /// stay inside the kernel's 64-node regime, the boundary family sits
-    /// exactly on it).
+    /// The ball's underlying simple graph (1 ..= ~70 nodes).
     pub graph: Graph,
     /// One small label per node (duplicate-heavy palettes by design).
     pub labels: Vec<u8>,
@@ -122,22 +118,6 @@ pub fn adversarial_ball() -> impl Strategy<Value = BallCase> {
         .prop_map(|(family, mode, seed)| build_case(family, mode, seed))
 }
 
-/// A guaranteed-isomorphic pair: an adversarial ball and a node-relabelled
-/// copy of it.
-pub fn isomorphic_ball_pair() -> impl Strategy<Value = (BallCase, BallCase)> {
-    (
-        0u8..FAMILY_COUNT,
-        0u8..COLOUR_MODES,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(family, mode, seed, perm_seed)| {
-            let a = build_case(family, mode, seed);
-            let b = a.permuted_copy(perm_seed);
-            (a, b)
-        })
-}
-
 /// Deterministically builds the case for a `(family, colour_mode, seed)`
 /// triple.  `family` selects the graph family (modulo [`FAMILY_COUNT`]),
 /// `colour_mode` the label palette (modulo [`COLOUR_MODES`]), and every
@@ -151,12 +131,12 @@ pub fn build_case(family: u8, colour_mode: u8, seed: u64) -> BallCase {
             let extra = rng.gen_range(0..=8);
             generators::random_connected(n, extra, &mut rng)
         }
-        // Random trees up to the full 64-node regime: the AHU path.
+        // Random trees up to 64 nodes: the AHU path.
         1 => {
             let n = rng.gen_range(2..=64);
             generators::random_attachment_tree(n, &mut rng)
         }
-        // Grids up to 8×8 (8×8 is exactly the 64-node boundary).
+        // Grids up to 8×8.
         2 => {
             let w = rng.gen_range(1..=8);
             let h = rng.gen_range(1..=8);
@@ -171,9 +151,8 @@ pub fn build_case(family: u8, colour_mode: u8, seed: u64) -> BallCase {
                 generators::path(n)
             }
         }
-        // The dispatch seam, pinned: 63-, 64- and 65-node instances of the
-        // most symmetric families, so both sides of the boundary and the
-        // boundary itself are generated constantly.
+        // 63-, 64- and 65-node instances of the most symmetric families:
+        // the largest balls the suites generate.
         4 => match rng.gen_range(0..6) {
             0 => generators::grid(8, 8),
             1 => generators::cycle(64),
@@ -184,7 +163,7 @@ pub fn build_case(family: u8, colour_mode: u8, seed: u64) -> BallCase {
         },
         // Disconnected remainders: a ball minus its cut edges leaves
         // stragglers, modelled as disjoint unions (trees, cycles, isolated
-        // complete blobs) that stay within the 64-node regime.
+        // complete blobs) of at most 64 nodes.
         5 => {
             let n1 = rng.gen_range(1..=32);
             let n2 = rng.gen_range(1..=32);

@@ -86,31 +86,23 @@ fn every_builtin_scenario_is_parallel_deterministic() {
 }
 
 /// Every canonicalisation a sweep cell performs runs on the calling
-/// thread's kernel scratch, so `thread_kernel_calls` counts a shard's canon
-/// work — and, like every work counter, that count is a pure function of
-/// the plan: two plans with fresh caches replay shard 0 with equal deltas.
+/// thread, so `thread_canon_calls` counts a shard's canon work — and, like
+/// every work counter, that count is a pure function of the plan: two plans
+/// with fresh caches replay shard 0 with equal deltas.
 #[test]
 fn sweep_canon_work_is_counted_on_the_thread_kernel_and_repeats() {
-    use local_decision::graph::fastcanon;
-    if fastcanon::fallback_forced() {
-        // Under LD_CANON_FALLBACK every code comes from the oracle, which
-        // the kernel counter does not see.
-        return;
-    }
+    use local_decision::graph::canon::thread_canon_calls;
     let config = config(1);
     let deltas: Vec<u64> = (0..2)
         .map(|_| {
             let plan = section2_sweep().plan(&config).unwrap();
             let layout = stream::ShardLayout::new(plan.cells.len(), config.shard_size);
-            let before = fastcanon::thread_kernel_calls();
+            let before = thread_canon_calls();
             let shard = stream::execute_shard(&plan.cells, &config, layout, 0);
             assert_eq!(shard.failed + shard.panicked, 0, "{:?}", shard.failures);
-            fastcanon::thread_kernel_calls() - before
+            thread_canon_calls() - before
         })
         .collect();
-    assert!(deltas[0] > 0, "shard 0 canonicalised nothing on the kernel");
-    assert_eq!(
-        deltas[0], deltas[1],
-        "kernel calls must repeat across plans"
-    );
+    assert!(deltas[0] > 0, "shard 0 canonicalised nothing");
+    assert_eq!(deltas[0], deltas[1], "canon calls must repeat across plans");
 }
