@@ -21,6 +21,7 @@ use ld_graph::{generators, LabeledGraph, NodeId};
 use ld_local::enumeration::{collect_oblivious_views, distinct_oblivious_views};
 use ld_local::{ObliviousView, Property};
 use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
+use std::sync::Arc;
 
 /// The node label of `G(M, r)`: every node is a cell of some table or
 /// fragment, carrying the machine, the locality parameter, the
@@ -29,10 +30,16 @@ use ld_turing::{Cell, ExecutionTable, RunOutcome, Symbol, TuringMachine};
 /// Deliberately, the label does **not** say whether the node belongs to the
 /// real execution table or to a fragment — that is the whole point of the
 /// obfuscation.
+///
+/// The machine is held behind an [`Arc`]: [`build_gmr`] gives every node a
+/// handle to one shared description, so a label clone (into a view or a
+/// cache entry) copies a pointer, not the transition table.  `Arc`'s
+/// `PartialEq`/`Hash` delegate to the machine, so labels compare and hash
+/// by the machine's value exactly as if each held its own copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
-    pub machine: TuringMachine,
+    pub machine: Arc<TuringMachine>,
     /// The locality parameter `r` (shared by every node).
     pub r: u32,
     /// Column coordinate modulo 3 (supplies the local orientation).
@@ -100,7 +107,7 @@ pub fn build_gmr(
     let table = ExecutionTable::of_halting(machine, fuel)
         .map_err(|_| ConstructionError::MachineDidNotHalt { fuel })?;
     let fragments = FragmentCollection::build(machine, r, source)?;
-    assemble(machine, r, &table, &fragments, true)
+    assemble(machine, r, &table, &fragments)
 }
 
 /// Assembles the glued graph from an arbitrary table prefix and fragment
@@ -111,8 +118,8 @@ fn assemble(
     r: u32,
     table: &ExecutionTable,
     fragments: &FragmentCollection,
-    exact: bool,
 ) -> Result<GmrInstance> {
+    let shared = Arc::new(machine.clone());
     let side = table.height();
     let width = table.width();
     let mut graph = generators::grid(width, side);
@@ -120,7 +127,7 @@ fn assemble(
     for y in 0..side {
         for x in 0..width {
             labels.push(Section3Label {
-                machine: machine.clone(),
+                machine: Arc::clone(&shared),
                 r,
                 x_mod3: (x % 3) as u8,
                 y_mod3: (y % 3) as u8,
@@ -136,13 +143,11 @@ fn assemble(
         for border_choice in border_variants(machine, fragment) {
             fragment_count += 1;
             let fside = fragment.height();
-            let offset = graph.node_count();
-            let (merged, _) = graph.disjoint_union(&generators::grid(fragment.width(), fside));
-            graph = merged;
+            let offset = graph.append(&generators::grid(fragment.width(), fside));
             for y in 0..fside {
                 for x in 0..fragment.width() {
                     labels.push(Section3Label {
-                        machine: machine.clone(),
+                        machine: Arc::clone(&shared),
                         r,
                         x_mod3: (x % 3) as u8,
                         y_mod3: (y % 3) as u8,
@@ -157,7 +162,6 @@ fn assemble(
         }
     }
     let labeled = LabeledGraph::new(graph, labels)?;
-    let _ = exact;
     Ok(GmrInstance {
         labeled,
         pivot,
@@ -303,7 +307,7 @@ pub fn neighborhood_generator(
     let extent = (4 * 3 * r as usize).max(4);
     let table = ExecutionTable::truncated(machine, extent, extent);
     let fragments = FragmentCollection::build(machine, r, source)?;
-    let instance = assemble(machine, r, &table, &fragments, false)?;
+    let instance = assemble(machine, r, &table, &fragments)?;
     let bottom_row_start = (extent - 1) * extent;
     let bottom_row: Vec<NodeId> = (bottom_row_start..extent * extent)
         .map(NodeId::from)
@@ -382,11 +386,12 @@ impl Property<Section3Label> for GmrOutputsZeroProperty {
 pub mod promise {
     use super::*;
 
-    /// The constant label of the promise-problem cycles.
+    /// The constant label of the promise-problem cycles.  As in
+    /// [`Section3Label`], every node holds a handle to one shared machine.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     pub struct MachineLabel {
         /// The machine every node is told about.
-        pub machine: TuringMachine,
+        pub machine: Arc<TuringMachine>,
     }
 
     /// Builds a promise instance: an `n`-cycle labelled with `machine`.
@@ -415,7 +420,7 @@ pub mod promise {
         Ok(LabeledGraph::uniform(
             generators::cycle(n),
             MachineLabel {
-                machine: machine.clone(),
+                machine: Arc::new(machine.clone()),
             },
         ))
     }
@@ -566,6 +571,24 @@ mod tests {
         let target = NodeId(1);
         corrupted.label_mut(target).cell = Cell::symbol(Symbol(1));
         assert!(!property.contains(&corrupted));
+    }
+
+    #[test]
+    fn every_label_shares_one_machine() {
+        let spec = zoo::halts_with_output(3, Symbol(0));
+        let instance = build_gmr(&spec.machine, 1, 100, FragmentSource::WindowsAndDecoys).unwrap();
+        let labels = instance.labeled().labels();
+        assert!(labels.len() > instance.table_nodes());
+        assert!(labels
+            .iter()
+            .all(|l| Arc::ptr_eq(&l.machine, &labels[0].machine)));
+        assert_eq!(*labels[0].machine, spec.machine);
+
+        let cycle = promise::instance(&zoo::infinite_loop().machine, 8).unwrap();
+        let labels = cycle.labels();
+        assert!(labels
+            .iter()
+            .all(|l| Arc::ptr_eq(&l.machine, &labels[0].machine)));
     }
 
     #[test]

@@ -284,17 +284,26 @@ impl Graph {
         Ok((sub, mapping))
     }
 
-    /// Returns the disjoint union of `self` and `other`, together with the
-    /// offset at which `other`'s nodes start in the result.
-    pub fn disjoint_union(&self, other: &Graph) -> (Graph, usize) {
+    /// Appends a copy of `other` to `self` in place and returns the offset
+    /// at which `other`'s nodes start: node `v` of `other` becomes node
+    /// `offset + v`, and no edge joins the two parts.  Costs O(|other|),
+    /// so gluing many pieces onto one graph stays linear.
+    pub fn append(&mut self, other: &Graph) -> usize {
         let offset = self.node_count();
-        let mut g = self.clone();
-        g.adjacency.extend(other.adjacency.iter().map(|list| {
+        self.adjacency.extend(other.adjacency.iter().map(|list| {
             list.iter()
                 .map(|v| NodeId::from(v.index() + offset))
                 .collect::<Vec<_>>()
         }));
-        g.edge_count += other.edge_count;
+        self.edge_count += other.edge_count;
+        offset
+    }
+
+    /// Returns the disjoint union of `self` and `other`, together with the
+    /// offset at which `other`'s nodes start in the result.
+    pub fn disjoint_union(&self, other: &Graph) -> (Graph, usize) {
+        let mut g = self.clone();
+        let offset = g.append(other);
         (g, offset)
     }
 
@@ -500,6 +509,18 @@ mod tests {
         assert_eq!(u.edge_count(), 4);
         assert!(u.has_edge(NodeId(3), NodeId(4)));
         assert!(!u.has_edge(NodeId(2), NodeId(3)));
+    }
+
+    #[test]
+    fn append_in_place_matches_disjoint_union() {
+        let h = Graph::from_edges(2, [(0, 1)]).unwrap();
+        let mut g = triangle();
+        assert_eq!(g.append(&h), 3);
+        assert_eq!(g.append(&h), 5);
+        let (twice, _) = triangle().disjoint_union(&h).0.disjoint_union(&h);
+        assert_eq!(g, twice);
+        assert_eq!(g.edge_count(), 5);
+        assert!(g.has_edge(NodeId(5), NodeId(6)));
     }
 
     #[test]

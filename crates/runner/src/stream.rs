@@ -10,13 +10,14 @@
 //!    into fixed-size shards ([`ShardLayout`], `SweepConfig::shard_size`
 //!    cells each).  Shard boundaries are a pure function of the plan and
 //!    the config — never of thread count or timing.
-//! 2. **A bounded pipeline.**  Workers claim shards off an atomic counter
-//!    and send completed shards through a *bounded* channel to the single
-//!    writer (the calling thread).  A claim gate additionally stops any
-//!    worker from running more than a fixed window ahead of the writer, so
-//!    the number of shards in flight — executing, channel-queued or
-//!    buffered for reordering — is bounded whatever the stragglers do.
-//!    Peak memory is O(window × shard), not O(plan).
+//! 2. **A bounded pipeline.**  Workers claim cells off an atomic counter
+//!    and send completed cells through a *bounded* channel to the single
+//!    writer (the calling thread), which regroups them into shards.  A
+//!    claim gate additionally stops any worker from running more than a
+//!    fixed window (two shards' worth of cells per worker) ahead of the
+//!    writer, so the number of cells in flight — executing, channel-queued
+//!    or buffered for reordering — is bounded whatever the stragglers do.
+//!    Peak memory is O(window), not O(plan).
 //! 3. **An append-only report.**  [`ReportStream`] emits schema
 //!    `ld-runner/report/v3` incrementally: header, the `cells` array in
 //!    cell-index order, then the trailing `summary` (and `perf`) objects.
@@ -1096,12 +1097,15 @@ fn drive(
 /// count, invoking `emit` with each shard's results **in shard order** on
 /// the calling thread.
 ///
-/// Workers claim shard indices from a shared counter, but a claim gate
-/// keeps every claim within a fixed window of the last emitted shard, and
-/// the result channel is bounded — so shards in flight (executing, queued,
-/// or held for reordering) never exceed the window, whatever the shard
-/// cost skew.  With one effective worker the calling thread runs shards
-/// directly; the emitted bytes are identical either way.
+/// Workers claim *cells*, not shards, from a shared counter, so even a
+/// one-shard plan runs on every worker.  A claim gate keeps every claim
+/// within `2 × workers × shard_size` cells of the last emitted cell, and
+/// the result channel is bounded by the same window — so cells in flight
+/// (executing, queued, or held for reordering) never exceed two shards per
+/// worker, whatever the cell cost skew.  The writer regroups the in-order
+/// cells into shards ([`regroup`]) before `emit` sees them.  With one
+/// effective worker the calling thread runs shards directly; the emitted
+/// bytes are identical either way.
 fn run_shards(
     cells: &[PlannedCell],
     config: &SweepConfig,
@@ -1110,46 +1114,75 @@ fn run_shards(
     stop_shard: usize,
     emit: &mut dyn FnMut(usize, Vec<CellResult>) -> Result<(), String>,
 ) -> Result<(), String> {
-    let run = |shard: usize| run_shard(cells, config, layout, shard);
     if first_shard >= stop_shard {
         return Ok(());
     }
-    let remaining_cells =
-        layout.shard_range(stop_shard - 1).end - layout.shard_range(first_shard).start;
-    let workers = effective_workers(config.threads, remaining_cells);
-    if workers <= 1 || stop_shard - first_shard <= 1 {
+    let first_cell = layout.shard_range(first_shard).start;
+    let stop_cell = layout.shard_range(stop_shard - 1).end;
+    let workers = effective_workers(config.threads, stop_cell - first_cell);
+    if workers <= 1 {
         for shard in first_shard..stop_shard {
-            emit(shard, run(shard))?;
+            emit(shard, run_shard(cells, config, layout, shard))?;
         }
         return Ok(());
     }
 
-    run_shards_sync::<StdSync, _>(&run, first_shard, stop_shard, workers, workers * 2, emit)
+    let run = |index: usize| run_cell(&cells[index], index, config);
+    let window = 2 * workers * layout.shard_size;
+    let mut emit_cell = regroup(layout, first_shard, emit);
+    run_shards_sync::<StdSync, _, _>(&run, first_cell, stop_cell, workers, window, &mut emit_cell)
+}
+
+/// Turns an in-order stream of per-cell results, starting at the first
+/// cell of `first_shard`, back into whole shards: each shard goes to
+/// `emit` as soon as its last cell arrives, so the final shard may be
+/// partial.
+fn regroup<'a, T: 'a>(
+    layout: ShardLayout,
+    first_shard: usize,
+    emit: &'a mut dyn FnMut(usize, Vec<T>) -> Result<(), String>,
+) -> impl FnMut(usize, T) -> Result<(), String> + 'a {
+    let mut shard = first_shard;
+    let mut pending = Vec::new();
+    move |index, result| {
+        debug_assert_eq!(index, layout.shard_range(shard).start + pending.len());
+        pending.push(result);
+        if index + 1 == layout.shard_range(shard).end {
+            emit(shard, std::mem::take(&mut pending))?;
+            shard += 1;
+        }
+        Ok(())
+    }
 }
 
 /// The claim-gate/bounded-channel/in-order-writer core of [`run_shards`],
-/// generic over the sync facade.  Production monomorphises to plain
+/// generic over the sync facade and over its unit of work: production
+/// claims cells (`run_unit` runs one cell by global index), while the
+/// model suite also drives whole shards.  Units `first..stop` are claimed
+/// off an atomic counter, no claim runs `window` or more units ahead of
+/// the emitted frontier, and `emit` sees every unit strictly in index
+/// order on the calling thread.  Production monomorphises to plain
 /// `std::sync` via [`StdSync`]; the model suite instantiates
-/// [`interleave::ModelSync`] to check, under every explored schedule, that
-/// shards emit strictly in order, claims stay within `window` of the
-/// emitted frontier, and the pipeline never deadlocks — including under
-/// injected spurious wakeups of the gate's condvar.
-fn run_shards_sync<S, F>(
-    run_shard: &F,
-    first_shard: usize,
-    stop_shard: usize,
+/// [`interleave::ModelSync`] to check those invariants, and the absence of
+/// deadlock, under every explored schedule — including under injected
+/// spurious wakeups of the gate's condvar.
+fn run_shards_sync<S, T, F>(
+    run_unit: &F,
+    first: usize,
+    stop: usize,
     workers: usize,
     window: usize,
-    emit: &mut dyn FnMut(usize, Vec<CellResult>) -> Result<(), String>,
+    emit: &mut dyn FnMut(usize, T) -> Result<(), String>,
 ) -> Result<(), String>
 where
     S: SyncFacade,
-    F: Fn(usize) -> Vec<CellResult> + Sync,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    let next = S::AtomicUsize::new(first_shard);
+    let next = S::AtomicUsize::new(first);
     let abort = S::AtomicBool::new(false);
-    let gate = (S::Mutex::new(first_shard), S::Condvar::new());
-    let (tx, rx) = S::sync_channel::<(usize, Vec<CellResult>)>(window);
+    let gate = (S::Mutex::new(first), S::Condvar::new());
+    let (tx, rx) = S::sync_channel::<(usize, T)>(window);
 
     let worker_fns: Vec<_> = (0..workers)
         .map(|_| {
@@ -1159,21 +1192,21 @@ where
                 if abort.load(Ordering::Relaxed) {
                     break;
                 }
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= stop_shard {
+                let unit = next.fetch_add(1, Ordering::Relaxed);
+                if unit >= stop {
                     break;
                 }
                 {
                     let (lock, cvar) = gate;
                     let mut emitted = lock.lock();
-                    while shard >= *emitted + window && !abort.load(Ordering::Relaxed) {
+                    while unit >= *emitted + window && !abort.load(Ordering::Relaxed) {
                         emitted = cvar.wait(emitted);
                     }
                 }
                 if abort.load(Ordering::Relaxed) {
                     break;
                 }
-                if tx.send((shard, run_shard(shard))).is_err() {
+                if tx.send((unit, run_unit(unit))).is_err() {
                     break;
                 }
             }
@@ -1183,11 +1216,11 @@ where
 
     let emit_error = S::scope_workers(worker_fns, || {
         let mut emit_error: Option<String> = None;
-        let mut buffer: BTreeMap<usize, Vec<CellResult>> = BTreeMap::new();
-        let mut next_emit = first_shard;
-        while next_emit < stop_shard {
-            if let Some(results) = buffer.remove(&next_emit) {
-                match emit(next_emit, results) {
+        let mut buffer: BTreeMap<usize, T> = BTreeMap::new();
+        let mut next_emit = first;
+        while next_emit < stop {
+            if let Some(result) = buffer.remove(&next_emit) {
+                match emit(next_emit, result) {
                     Ok(()) => {
                         next_emit += 1;
                         *gate.0.lock() = next_emit;
@@ -1201,8 +1234,8 @@ where
                 continue;
             }
             match rx.recv() {
-                Ok((shard, results)) => {
-                    buffer.insert(shard, results);
+                Ok((unit, result)) => {
+                    buffer.insert(unit, result);
                 }
                 Err(interleave::RecvError) => break,
             }
@@ -1321,6 +1354,38 @@ mod tests {
         }
     }
 
+    /// Two cells in one shard, each waiting (for at most five seconds)
+    /// until the other has started: both pass only when two workers run
+    /// them at the same time.
+    struct RendezvousScenario;
+
+    impl Scenario for RendezvousScenario {
+        fn name(&self) -> &str {
+            "rendezvous"
+        }
+        fn description(&self) -> &str {
+            "test scenario: two cells that must overlap in time"
+        }
+        fn plan(&self, _config: &SweepConfig) -> Result<Plan, String> {
+            let started = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let mut plan = Plan::new();
+            for i in 0..2 {
+                let started = std::sync::Arc::clone(&started);
+                let spec = CellSpec::new(format!("rendezvous/{i}"), [("i", i.to_string())]);
+                plan.push(spec, move |_| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    let met = started.load(Ordering::SeqCst) >= 2;
+                    CellOutcome::new(if met { "met" } else { "alone" }, met)
+                });
+            }
+            Ok(plan)
+        }
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);
         let n = UNIQUE.fetch_add(1, Ordering::Relaxed);
@@ -1409,6 +1474,34 @@ mod tests {
         if hardware >= 2 {
             assert_eq!(effective_workers(2, 1024), 2);
         }
+    }
+
+    #[test]
+    fn one_shard_plan_runs_its_cells_on_two_workers() {
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        let report = collect(&RendezvousScenario, &config(2, 2, 16)).unwrap();
+        assert_eq!(report.cells.len(), 2);
+        assert_eq!(report.passed(), 2, "the shard's cells ran one at a time");
+    }
+
+    #[test]
+    fn regroup_emits_whole_shards_in_order_from_a_resume_point() {
+        // Ten cells in shards of four: shard 2 holds only cells 8 and 9.
+        // Resuming at shard 1 feeds cells 4..10.
+        let layout = ShardLayout::new(10, 4);
+        let mut emitted = Vec::new();
+        let mut emit = |shard: usize, cells: Vec<usize>| {
+            emitted.push((shard, cells));
+            Ok(())
+        };
+        let mut push = regroup(layout, 1, &mut emit);
+        for index in 4..10 {
+            push(index, index).unwrap();
+        }
+        drop(push);
+        assert_eq!(emitted, vec![(1, vec![4, 5, 6, 7]), (2, vec![8, 9])]);
     }
 
     #[test]
@@ -1681,9 +1774,68 @@ mod tests {
                 emitted_frontier.store(next_expect, Ordering::SeqCst);
                 Ok(())
             };
-            run_shards_sync::<ModelSync, _>(&run_shard, 0, SHARDS, WORKERS, WINDOW, &mut emit)
+            run_shards_sync::<ModelSync, _, _>(&run_shard, 0, SHARDS, WORKERS, WINDOW, &mut emit)
                 .expect("no emit error in model");
             assert_eq!(next_expect, SHARDS, "writer did not drain every shard");
+        });
+        assert!(
+            report.schedules >= 1000,
+            "expected >=1000 distinct schedules, explored {}",
+            report.schedules
+        );
+    }
+
+    /// Model suite: per-cell claims regrouped into shards, as production
+    /// pairs them, with a shard size that does not divide the cell count.
+    /// Every shard reaches `emit` whole, in shard order and with its cells
+    /// in index order; no cell runs `window` or more cells ahead of the
+    /// emitted frontier; and the pipeline drains without deadlock.
+    #[test]
+    fn model_cell_claims_regroup_into_ordered_shards() {
+        use interleave::ModelSync;
+        use std::sync::atomic::AtomicUsize as StdAtomicUsize;
+
+        const WORKERS: usize = 2;
+        const CELLS: usize = 5;
+        const WINDOW: usize = 3; // below 5 cells, so the gate engages
+        let layout = ShardLayout::new(CELLS, 2); // shards of 2, 2 and 1
+
+        let report = interleave::model_with(interleave::Config::with_max_schedules(2000), || {
+            let emitted_frontier = StdAtomicUsize::new(0);
+            let run_cell = |index: usize| -> usize {
+                let frontier = emitted_frontier.load(Ordering::SeqCst);
+                assert!(
+                    index < frontier + WINDOW,
+                    "claim gate violated: cell {index} ran with frontier {frontier}"
+                );
+                index
+            };
+            let mut shards = Vec::new();
+            let mut emit_shard = |shard: usize, cells: Vec<usize>| -> Result<(), String> {
+                assert_eq!(cells, layout.shard_range(shard).collect::<Vec<_>>());
+                shards.push(shard);
+                Ok(())
+            };
+            let mut push = regroup(layout, 0, &mut emit_shard);
+            let mut emit_cell = |index: usize, cell: usize| {
+                emitted_frontier.store(index + 1, Ordering::SeqCst);
+                push(index, cell)
+            };
+            run_shards_sync::<ModelSync, _, _>(
+                &run_cell,
+                0,
+                CELLS,
+                WORKERS,
+                WINDOW,
+                &mut emit_cell,
+            )
+            .expect("no emit error in model");
+            drop(push);
+            assert_eq!(
+                shards,
+                vec![0, 1, 2],
+                "writer did not emit every shard in order"
+            );
         });
         assert!(
             report.schedules >= 1000,
@@ -1723,7 +1875,7 @@ mod tests {
                 emitted_frontier.store(next_expect, Ordering::SeqCst);
                 Ok(())
             };
-            run_shards_sync::<ModelSync, _>(&run_shard, 0, SHARDS, WORKERS, WINDOW, &mut emit)
+            run_shards_sync::<ModelSync, _, _>(&run_shard, 0, SHARDS, WORKERS, WINDOW, &mut emit)
                 .expect("no emit error in model");
             assert_eq!(next_expect, SHARDS, "writer did not drain every shard");
         });

@@ -68,8 +68,11 @@ pub struct Transition {
 ///   (the convention used throughout this reproduction for the languages
 ///   `L₀ = {M : M outputs 0}` and `L₁ = {M : M outputs 1}`).
 ///
-/// Machines are small value types (`Clone + Eq + Hash`) because the paper's
-/// constructions place the machine description in every node label.
+/// Machines compare and hash by value (`Eq + Hash`): the paper's
+/// constructions place the machine description in every node label, and
+/// two labels are equal only if they describe the same machine.  The
+/// labels share one description through an `Arc` rather than each owning
+/// a copy of the name and transition table.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuringMachine {
     name: String,
