@@ -50,8 +50,9 @@ fn write_perf_snapshot() {
             iterations: ROUNDS,
         })
         .collect();
+    let pyramids = scenarios::find("pyramid-sweep").expect("pyramid-sweep is registered");
     records.push(perf::measure("pyramid_sweep_threads/2", 2, || {
-        stream::collect(&scenarios::PyramidSweep, &config(2))
+        stream::collect(pyramids.as_ref(), &config(2))
             .unwrap()
             .passed()
     }));

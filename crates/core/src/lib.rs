@@ -52,7 +52,8 @@
 //! use local_decision::runner::{scenarios, stream, SweepConfig};
 //!
 //! let config = SweepConfig { max_n: 16, threads: 2, seed: 1, ..SweepConfig::default() };
-//! let report = stream::collect(&scenarios::PyramidSweep, &config)?;
+//! let pyramids = scenarios::find("pyramid-sweep").ok_or("pyramid-sweep is built in")?;
+//! let report = stream::collect(pyramids.as_ref(), &config)?;
 //! assert_eq!(report.failed() + report.panicked(), 0);
 //! println!("{}", report.to_json());
 //! # Ok::<(), String>(())

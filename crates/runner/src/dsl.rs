@@ -8,14 +8,13 @@
 //! layer — the sharded pipeline, in-memory collection, checkpoint resume, the
 //! service spool — treats it exactly like a built-in module.
 //!
-//! The committed `scenarios/section2-sweep.json` and
-//! `scenarios/section2-sweep-r3.json` *are* those built-ins: the registry
-//! ([`crate::scenarios::all`]) embeds both files and parses them with
-//! [`ScenarioDoc::from_text`], so each scenario has one definition.  Their
-//! stanzas call the `pub(crate)` Section 2 planners in
-//! [`crate::scenarios`].  `tests/tests/dsl_differential.rs` and a CI
-//! byte-diff smoke pin that a run from the registry and a run from the file
-//! produce the same bytes.
+//! The committed `scenarios/<name>.json` documents *are* the built-ins: the
+//! registry ([`crate::scenarios::all`]) embeds all eight files and parses
+//! them with [`ScenarioDoc::from_text`], so each scenario has one
+//! definition, and `ScenarioDoc` is the only shipped [`Scenario`].  Their
+//! stanzas call the `pub(crate)` planners in [`crate::scenarios`].
+//! `tests/tests/dsl_differential.rs` and a CI byte-diff smoke pin that a
+//! run from the registry and a run from the file produce the same bytes.
 //!
 //! Every malformed document maps to a typed [`DslError`] carrying a stable
 //! token and a process exit code, extending the [`ConfigError`] ladder
@@ -28,23 +27,28 @@ use crate::json::Json;
 use crate::scenario::{Plan, Scenario, SweepConfig, MAX_RADIUS};
 use crate::scenarios::{
     self, grid_profile_cells, layered_tree_cells, path_cells, path_coverage_cells,
-    promise_decider_cells, promise_views_only_cells, tree_family_cells,
+    promise_decider_cells, promise_views_only_cells, pyramid_cells, randomized_cells, table_cells,
+    tree_family_cells, zoo_cells,
 };
-use ld_constructions::section2::promise::CycleParamLabel;
-use ld_constructions::section2::Section2Label;
 use ld_deciders::fractional::{self, FractionalVerifier};
 use ld_graph::{generators, Graph, LabeledGraph};
 use ld_local::cache::ViewCache;
-use ld_local::enumeration::distinct_oblivious_views_of_budgeted_cached;
+use ld_local::enumeration::{distinct_oblivious_views_of_budgeted_cached, EnumerationBudget};
 use ld_local::property::{FractionalColoring, Property};
 use ld_local::{decision, FnOblivious, IdAssignment, Input, ObliviousView, Verdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::Arc;
 
 /// The schema tag every scenario document must carry.
 pub const SCHEMA: &str = "ld-runner/scenario/v1";
+
+/// The `randomized-gmr` speed ladder when a stanza gives none: the
+/// `randomized-sweep` ladder.
+const DEFAULT_SPEEDS: [u8; 4] = [2, 4, 8, 16];
 
 /// Restart cap for the connected-graph rejection loop of the random
 /// families (a fresh derived seed per attempt; deterministic in the cell
@@ -176,6 +180,28 @@ impl std::fmt::Display for DslError {
 impl std::error::Error for DslError {}
 
 impl DslError {
+    fn missing(context: &str, field: &str) -> DslError {
+        DslError::MissingField {
+            context: context.to_string(),
+            field: field.to_string(),
+        }
+    }
+
+    fn invalid(context: &str, field: &str, detail: impl Into<String>) -> DslError {
+        DslError::InvalidField {
+            context: context.to_string(),
+            field: field.to_string(),
+            detail: detail.into(),
+        }
+    }
+
+    fn unknown_field(context: &str, field: &str) -> DslError {
+        DslError::UnknownField {
+            context: context.to_string(),
+            field: field.to_string(),
+        }
+    }
+
     /// A stable, machine-readable identifier for the variant, in the style
     /// of [`ConfigError::token`](crate::scenario::ConfigError::token).
     pub fn token(&self) -> &'static str {
@@ -335,7 +361,9 @@ impl Family {
         match self {
             Family::Path => n >= 1,
             Family::Cycle => n >= 3,
-            Family::RandomRegular { degree } => n * degree % 2 == 0 && *degree < n,
+            // Range first, then parity without the product: a document's
+            // degree may be any u64, and `n * degree` would overflow.
+            Family::RandomRegular { degree } => *degree < n && (n % 2 == 0 || degree % 2 == 0),
             Family::PowerLaw { attach } => n > *attach,
             Family::Circulant { offsets } => offsets.iter().all(|&o| o < n),
         }
@@ -460,14 +488,13 @@ impl Ladder {
 }
 
 /// One workload stanza: a named cell-planning recipe plus its parameters.
-/// The `section2-*`, `paths`, `path-coverage`, `grid-profile`,
-/// `layered-tree-views` and `promise-views` stanzas call the `pub(crate)`
-/// Section 2 planners in [`crate::scenarios`]; they compose the registered
-/// `section2-sweep` and `section2-sweep-r3` documents.  `sweep` and
-/// `fractional-coloring` open the new families.
+/// Every stanza but `sweep` and `fractional-coloring` (which open the new
+/// families) calls a `pub(crate)` planner in [`crate::scenarios`]; they
+/// compose the eight registered built-in documents.
 ///
 /// Every stanza `radius` is a *default*, resolved through
 /// [`SweepConfig::radius_or`] — an explicit `--radius` still overrides it.
+/// Stanzas without a `radius` field ignore `--radius`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// The `section2-sweep` layered-tree portion.
@@ -482,12 +509,16 @@ pub enum Workload {
         /// Default views radius.
         radius: usize,
     },
-    /// The closed-form path family of `section2-sweep-r3`.
+    /// The closed-form path family of `section2-sweep-r3` and
+    /// `section2-sweep-xl`.
     Paths {
         /// Default view radius.
         radius: usize,
         /// Stride between swept sizes.
         step: usize,
+        /// When set, the stride grows with the sweep:
+        /// `max(step, max_n / step_divisor)`.
+        step_divisor: Option<usize>,
     },
     /// The cross-size path coverage cells of `section2-sweep-r3`.
     PathCoverage {
@@ -532,6 +563,22 @@ pub enum Workload {
         /// The ladder over `k` (clamped to `1..=31` at parse time).
         ladder: Ladder,
     },
+    /// The Section 3 machine-zoo cells of `section3-sweep`: the two-stage
+    /// Id decider per machine and the fuel-bounded oblivious candidates.
+    Section3Zoo,
+    /// The quadtree-pyramid cells of `pyramid-sweep`.
+    Pyramid,
+    /// The four Section 1.1 quadrant cells of `relationship-table`.
+    RelationshipTable,
+    /// The Corollary 1 randomised-decider cells of `randomized-sweep` and
+    /// `randomized-sweep-xl`.
+    RandomizedGmr {
+        /// The machine-speed ladder (`k`-step walkers, `1..=250`).
+        speeds: Vec<u8>,
+        /// Also measure each instance's distinct radius-1 views under the
+        /// cell budget.
+        views: bool,
+    },
 }
 
 impl Workload {
@@ -546,6 +593,10 @@ impl Workload {
             Workload::PromiseViews { .. } => "promise-views",
             Workload::Sweep { .. } => "sweep",
             Workload::FractionalColoring { .. } => "fractional-coloring",
+            Workload::Section3Zoo => "section3-zoo",
+            Workload::Pyramid => "pyramid",
+            Workload::RelationshipTable => "relationship-table",
+            Workload::RandomizedGmr { .. } => "randomized-gmr",
         }
     }
 
@@ -556,7 +607,17 @@ impl Workload {
                 doc.set("max-roots", *max_roots).set("radius", *radius)
             }
             Workload::Section2Promise { radius } => doc.set("radius", *radius),
-            Workload::Paths { radius, step } => doc.set("radius", *radius).set("step", *step),
+            Workload::Paths {
+                radius,
+                step,
+                step_divisor,
+            } => {
+                let doc = doc.set("radius", *radius).set("step", *step);
+                match step_divisor {
+                    Some(divisor) => doc.set("step-divisor", *divisor),
+                    None => doc,
+                }
+            }
             Workload::PathCoverage { radius } | Workload::GridProfile { radius } => {
                 doc.set("radius", *radius)
             }
@@ -577,45 +638,77 @@ impl Workload {
                 .set("ids", ids.token())
                 .set("decider", decider.token()),
             Workload::FractionalColoring { ladder } => doc.set("ladder", ladder.to_json()),
+            Workload::Section3Zoo | Workload::Pyramid | Workload::RelationshipTable => doc,
+            Workload::RandomizedGmr { speeds, views } => doc
+                .set("speeds", Json::array(speeds.iter().map(|&k| u64::from(k))))
+                .set("views", *views),
         }
     }
 
+    /// Plans the stanza's cells into `plan`.  `scaled` is the document's
+    /// `scaled-budget` switch: when `config` sets no budget, a stanza at view
+    /// radius `r` runs its cells under [`EnumerationBudget::scaled`]`(max_n,
+    /// r)` instead of unlimited.
     fn plan_into(
         &self,
         plan: &mut Plan,
         caches: &mut DslCaches,
         config: &SweepConfig,
+        scaled: bool,
     ) -> Result<(), String> {
-        let budget = config.enumeration_budget();
-        let radius_or = |radius: &usize| config.radius_or(*radius);
+        let budget_at = |radius: usize| {
+            if scaled {
+                config.enumeration_budget_or(EnumerationBudget::scaled(config.max_n, radius))
+            } else {
+                config.enumeration_budget()
+            }
+        };
+        // A radius stanza's resolved radius and its cells' budget there.
+        let at = |radius: &usize| {
+            let radius = config.radius_or(*radius);
+            (radius, budget_at(radius))
+        };
         match self {
             Workload::Section2Trees { max_roots, radius } => {
-                let cache = caches.tree(plan);
-                layered_tree_cells(plan, &cache, config, *max_roots, radius_or(radius))?;
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                layered_tree_cells(plan, &cache, config, budget, *max_roots, radius)?;
             }
             Workload::Section2Promise { radius } => {
-                let cache = caches.promise(plan);
-                promise_decider_cells(plan, &cache, config, radius_or(radius));
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                promise_decider_cells(plan, &cache, config, budget, radius);
             }
-            Workload::Paths { radius, step } => {
-                let cache = caches.structural(plan);
-                path_cells(plan, &cache, config, radius_or(radius), budget, *step);
+            Workload::Paths {
+                radius,
+                step,
+                step_divisor,
+            } => {
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                let step =
+                    step_divisor.map_or(*step, |divisor| (*step).max(config.max_n / divisor));
+                path_cells(plan, &cache, config, radius, budget, step);
             }
             Workload::PathCoverage { radius } => {
-                let cache = caches.structural(plan);
-                path_coverage_cells(plan, &cache, config, radius_or(radius), budget);
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                path_coverage_cells(plan, &cache, config, radius, budget);
             }
             Workload::GridProfile { radius } => {
-                let cache = caches.structural(plan);
-                grid_profile_cells(plan, &cache, config, radius_or(radius), budget);
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                grid_profile_cells(plan, &cache, config, radius, budget);
             }
             Workload::LayeredTreeViews { radius, max_roots } => {
-                let cache = caches.tree(plan);
-                tree_family_cells(plan, &cache, config, radius_or(radius), budget, *max_roots)?;
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                tree_family_cells(plan, &cache, config, radius, budget, *max_roots)?;
             }
             Workload::PromiseViews { radius } => {
-                let cache = caches.promise(plan);
-                promise_views_only_cells(plan, &cache, config, radius_or(radius), budget);
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                promise_views_only_cells(plan, &cache, config, radius, budget);
             }
             Workload::Sweep {
                 family,
@@ -624,13 +717,34 @@ impl Workload {
                 ids,
                 decider,
             } => {
-                let cache = caches.structural(plan);
-                let radius = radius_or(radius);
-                sweep_cells(plan, &cache, config, family, ladder, radius, *ids, *decider);
+                let cache = caches.get(plan);
+                let (radius, budget) = at(radius);
+                sweep_cells(
+                    plan, &cache, config, budget, family, ladder, radius, *ids, *decider,
+                );
             }
             Workload::FractionalColoring { ladder } => {
-                let cache = caches.fractional(plan);
+                let cache = caches.get(plan);
                 fractional_cells(plan, &cache, config, ladder);
+            }
+            Workload::Section3Zoo => {
+                let cache = caches.get(plan);
+                zoo_cells(plan, &cache, config);
+            }
+            Workload::Pyramid => {
+                let cache = caches.get(plan);
+                pyramid_cells(plan, &cache, config);
+            }
+            Workload::RelationshipTable => {
+                let cache = caches.get(plan);
+                table_cells(plan, cache);
+            }
+            Workload::RandomizedGmr { speeds, views } => {
+                // No radius field: the views radius is fixed, so
+                // `--radius` moves neither it nor its scaled budget.
+                let radius = scenarios::RANDOMIZED_VIEWS_RADIUS;
+                let views = views.then(|| (caches.get(plan), budget_at(radius)));
+                randomized_cells(plan, config, speeds, views);
             }
         }
         Ok(())
@@ -642,34 +756,20 @@ impl Workload {
 /// `Section2Label` before `CycleParamLabel`; the r3 doc registers `u8`
 /// first).
 #[derive(Default)]
-struct DslCaches {
-    structural: Option<Arc<ViewCache<u8>>>,
-    tree: Option<Arc<ViewCache<Section2Label>>>,
-    promise: Option<Arc<ViewCache<CycleParamLabel>>>,
-    fractional: Option<Arc<ViewCache<u64>>>,
-}
+struct DslCaches(Vec<Arc<dyn Any + Send + Sync>>);
 
 impl DslCaches {
-    fn structural(&mut self, plan: &mut Plan) -> Arc<ViewCache<u8>> {
-        self.structural
-            .get_or_insert_with(|| plan.share_cache())
-            .clone()
-    }
-
-    fn tree(&mut self, plan: &mut Plan) -> Arc<ViewCache<Section2Label>> {
-        self.tree.get_or_insert_with(|| plan.share_cache()).clone()
-    }
-
-    fn promise(&mut self, plan: &mut Plan) -> Arc<ViewCache<CycleParamLabel>> {
-        self.promise
-            .get_or_insert_with(|| plan.share_cache())
-            .clone()
-    }
-
-    fn fractional(&mut self, plan: &mut Plan) -> Arc<ViewCache<u64>> {
-        self.fractional
-            .get_or_insert_with(|| plan.share_cache())
-            .clone()
+    /// The plan's cache for labels `L`, registered on first use.
+    fn get<L>(&mut self, plan: &mut Plan) -> Arc<ViewCache<L>>
+    where
+        L: Clone + Eq + Hash + Send + Sync + 'static,
+    {
+        let registered = self.0.iter().find_map(|c| Arc::clone(c).downcast().ok());
+        registered.unwrap_or_else(|| {
+            let cache = plan.share_cache::<L>();
+            self.0.push(cache.clone());
+            cache
+        })
     }
 }
 
@@ -680,15 +780,17 @@ fn sweep_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<u8>>,
     config: &SweepConfig,
+    budget: EnumerationBudget,
     family: &Family,
     ladder: &Ladder,
     radius: usize,
     ids: IdRegime,
     decider: Decider,
 ) {
-    let budget = config.enumeration_budget();
-    for n in ladder.values() {
-        if n > config.max_n || !family.plannable(n) {
+    // Ladders ascend, so the first size past `max_n` ends the stanza (a
+    // document's `to` may be far beyond any sweep).
+    for n in ladder.values().take_while(|&n| n <= config.max_n) {
+        if !family.plannable(n) {
             continue;
         }
         let mut params = vec![
@@ -850,6 +952,7 @@ pub struct ScenarioDoc {
     description: String,
     node_budget: Option<u64>,
     view_budget: Option<u64>,
+    scaled_budget: bool,
     workloads: Vec<Workload>,
 }
 
@@ -892,6 +995,7 @@ impl ScenarioDoc {
         let mut description = String::new();
         let mut node_budget = None;
         let mut view_budget = None;
+        let mut scaled_budget = false;
         let mut workloads = None;
         let mut schema = None;
         for (key, value) in fields {
@@ -900,11 +1004,7 @@ impl ScenarioDoc {
                 "name" => {
                     let text = expect_str(value, "document", "name")?;
                     if text.is_empty() {
-                        return Err(DslError::InvalidField {
-                            context: "document".to_string(),
-                            field: "name".to_string(),
-                            detail: "must not be empty".to_string(),
-                        });
+                        return Err(DslError::invalid("document", "name", "must not be empty"));
                     }
                     name = Some(text.to_string());
                 }
@@ -913,6 +1013,9 @@ impl ScenarioDoc {
                 }
                 "node-budget" => node_budget = Some(expect_u64(value, "document", "node-budget")?),
                 "view-budget" => view_budget = Some(expect_u64(value, "document", "view-budget")?),
+                "scaled-budget" => {
+                    scaled_budget = expect_bool(value, "document", "scaled-budget")?;
+                }
                 "workloads" => match value {
                     Json::Arr(items) => {
                         let mut parsed = Vec::with_capacity(items.len());
@@ -922,19 +1025,14 @@ impl ScenarioDoc {
                         workloads = Some(parsed);
                     }
                     _ => {
-                        return Err(DslError::InvalidField {
-                            context: "document".to_string(),
-                            field: "workloads".to_string(),
-                            detail: "must be an array of workload stanzas".to_string(),
-                        })
+                        return Err(DslError::invalid(
+                            "document",
+                            "workloads",
+                            "must be an array of workload stanzas",
+                        ))
                     }
                 },
-                other => {
-                    return Err(DslError::UnknownField {
-                        context: "document".to_string(),
-                        field: other.to_string(),
-                    })
-                }
+                other => return Err(DslError::unknown_field("document", other)),
             }
         }
         match schema.as_deref() {
@@ -945,10 +1043,7 @@ impl ScenarioDoc {
                 })
             }
         }
-        let name = name.ok_or_else(|| DslError::MissingField {
-            context: "document".to_string(),
-            field: "name".to_string(),
-        })?;
+        let name = name.ok_or_else(|| DslError::missing("document", "name"))?;
         let workloads = workloads.ok_or(DslError::EmptyWorkloads)?;
         if workloads.is_empty() {
             return Err(DslError::EmptyWorkloads);
@@ -958,6 +1053,7 @@ impl ScenarioDoc {
             description,
             node_budget,
             view_budget,
+            scaled_budget,
             workloads,
         })
     }
@@ -976,6 +1072,9 @@ impl ScenarioDoc {
         }
         if let Some(budget) = self.view_budget {
             doc = doc.set("view-budget", budget);
+        }
+        if self.scaled_budget {
+            doc = doc.set("scaled-budget", true);
         }
         doc.set(
             "workloads",
@@ -1012,7 +1111,7 @@ impl Scenario for ScenarioDoc {
         let mut plan = Plan::new();
         let mut caches = DslCaches::default();
         for workload in &self.workloads {
-            workload.plan_into(&mut plan, &mut caches, &effective)?;
+            workload.plan_into(&mut plan, &mut caches, &effective, self.scaled_budget)?;
         }
         if plan.cells.is_empty() {
             return Err(format!(
@@ -1029,37 +1128,29 @@ impl Scenario for ScenarioDoc {
 fn expect_obj<'a>(json: &'a Json, context: &str) -> Result<&'a [(String, Json)], DslError> {
     match json {
         Json::Obj(fields) => Ok(fields),
-        _ => Err(DslError::InvalidField {
-            context: context.to_string(),
-            field: "(value)".to_string(),
-            detail: "must be an object".to_string(),
-        }),
+        _ => Err(DslError::invalid(context, "(value)", "must be an object")),
     }
 }
 
 fn expect_str<'a>(json: &'a Json, context: &str, field: &str) -> Result<&'a str, DslError> {
-    json.as_str().ok_or_else(|| DslError::InvalidField {
-        context: context.to_string(),
-        field: field.to_string(),
-        detail: "must be a string".to_string(),
-    })
+    json.as_str()
+        .ok_or_else(|| DslError::invalid(context, field, "must be a string"))
 }
 
 fn expect_u64(json: &Json, context: &str, field: &str) -> Result<u64, DslError> {
-    json.as_u64().ok_or_else(|| DslError::InvalidField {
-        context: context.to_string(),
-        field: field.to_string(),
-        detail: "must be an unsigned integer".to_string(),
-    })
+    json.as_u64()
+        .ok_or_else(|| DslError::invalid(context, field, "must be an unsigned integer"))
+}
+
+fn expect_bool(json: &Json, context: &str, field: &str) -> Result<bool, DslError> {
+    json.as_bool()
+        .ok_or_else(|| DslError::invalid(context, field, "must be a boolean"))
 }
 
 fn expect_usize(json: &Json, context: &str, field: &str) -> Result<usize, DslError> {
     let value = expect_u64(json, context, field)?;
-    usize::try_from(value).map_err(|_| DslError::InvalidField {
-        context: context.to_string(),
-        field: field.to_string(),
-        detail: format!("{value} does not fit usize"),
-    })
+    usize::try_from(value)
+        .map_err(|_| DslError::invalid(context, field, format!("{value} does not fit usize")))
 }
 
 fn expect_radius(json: &Json, context: &str) -> Result<usize, DslError> {
@@ -1080,23 +1171,12 @@ fn parse_ladder(json: &Json, context: &str) -> Result<Ladder, DslError> {
             "from" => from = Some(expect_usize(value, context, "from")?),
             "to" => to = Some(expect_usize(value, context, "to")?),
             "step" => step = expect_usize(value, context, "step")?,
-            other => {
-                return Err(DslError::UnknownField {
-                    context: format!("{context} ladder"),
-                    field: other.to_string(),
-                })
-            }
+            other => return Err(DslError::unknown_field(&format!("{context} ladder"), other)),
         }
     }
     let ladder = Ladder {
-        from: from.ok_or_else(|| DslError::MissingField {
-            context: context.to_string(),
-            field: "from".to_string(),
-        })?,
-        to: to.ok_or_else(|| DslError::MissingField {
-            context: context.to_string(),
-            field: "to".to_string(),
-        })?,
+        from: from.ok_or_else(|| DslError::missing(context, "from"))?,
+        to: to.ok_or_else(|| DslError::missing(context, "to"))?,
         step,
     };
     ladder.validate()?;
@@ -1135,31 +1215,23 @@ fn parse_family(json: &Json, context: &str) -> Result<Family, DslError> {
                     offsets = Some(parsed);
                 }
                 _ => {
-                    return Err(DslError::InvalidField {
-                        context: context.to_string(),
-                        field: "offsets".to_string(),
-                        detail: "must be an array of offsets".to_string(),
-                    })
+                    return Err(DslError::invalid(
+                        context,
+                        "offsets",
+                        "must be an array of offsets",
+                    ))
                 }
             },
-            other => {
-                return Err(DslError::UnknownField {
-                    context: format!("{context} family"),
-                    field: other.to_string(),
-                })
-            }
+            other => return Err(DslError::unknown_field(&format!("{context} family"), other)),
         }
     }
-    let kind = kind.ok_or_else(|| DslError::MissingField {
-        context: context.to_string(),
-        field: "kind".to_string(),
-    })?;
+    let kind = kind.ok_or_else(|| DslError::missing(context, "kind"))?;
     let reject_param = |field: &str, present: bool| {
         if present {
-            Err(DslError::UnknownField {
-                context: format!("{context} family ({kind})"),
-                field: field.to_string(),
-            })
+            Err(DslError::unknown_field(
+                &format!("{context} family ({kind})"),
+                field,
+            ))
         } else {
             Ok(())
         }
@@ -1178,60 +1250,46 @@ fn parse_family(json: &Json, context: &str) -> Result<Family, DslError> {
         "random-regular" => {
             reject_param("attach", attach.is_some())?;
             reject_param("offsets", offsets.is_some())?;
-            let degree = degree.ok_or_else(|| DslError::MissingField {
-                context: context.to_string(),
-                field: "degree".to_string(),
-            })?;
+            let degree = degree.ok_or_else(|| DslError::missing(context, "degree"))?;
             if degree < 2 {
-                return Err(DslError::InvalidField {
-                    context: context.to_string(),
-                    field: "degree".to_string(),
-                    detail: "must be at least 2 (degree-0/1 graphs are never connected)"
-                        .to_string(),
-                });
+                return Err(DslError::invalid(
+                    context,
+                    "degree",
+                    "must be at least 2 (degree-0/1 graphs are never connected)",
+                ));
             }
             Ok(Family::RandomRegular { degree })
         }
         "power-law" => {
             reject_param("degree", degree.is_some())?;
             reject_param("offsets", offsets.is_some())?;
-            let attach = attach.ok_or_else(|| DslError::MissingField {
-                context: context.to_string(),
-                field: "attach".to_string(),
-            })?;
+            let attach = attach.ok_or_else(|| DslError::missing(context, "attach"))?;
             if attach == 0 {
-                return Err(DslError::InvalidField {
-                    context: context.to_string(),
-                    field: "attach".to_string(),
-                    detail: "must be at least 1".to_string(),
-                });
+                return Err(DslError::invalid(context, "attach", "must be at least 1"));
             }
             Ok(Family::PowerLaw { attach })
         }
         "circulant" => {
             reject_param("degree", degree.is_some())?;
             reject_param("attach", attach.is_some())?;
-            let offsets = offsets.ok_or_else(|| DslError::MissingField {
-                context: context.to_string(),
-                field: "offsets".to_string(),
-            })?;
+            let offsets = offsets.ok_or_else(|| DslError::missing(context, "offsets"))?;
             if offsets.is_empty() || offsets.contains(&0) {
-                return Err(DslError::InvalidField {
-                    context: context.to_string(),
-                    field: "offsets".to_string(),
-                    detail: "must be a non-empty array of nonzero offsets".to_string(),
-                });
+                return Err(DslError::invalid(
+                    context,
+                    "offsets",
+                    "must be a non-empty array of nonzero offsets",
+                ));
             }
             // gcd(offsets) == 1 guarantees C_n(offsets) is connected for
             // *every* ladder size, so connectivity is checkable here rather
             // than cell by cell.
             let gcd = offsets.iter().copied().fold(0usize, gcd);
             if gcd != 1 {
-                return Err(DslError::InvalidField {
-                    context: context.to_string(),
-                    field: "offsets".to_string(),
-                    detail: format!("gcd is {gcd}; offsets with gcd 1 keep every size connected"),
-                });
+                return Err(DslError::invalid(
+                    context,
+                    "offsets",
+                    format!("gcd is {gcd}; offsets with gcd 1 keep every size connected"),
+                ));
             }
             Ok(Family::Circulant { offsets })
         }
@@ -1249,6 +1307,43 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
+/// A stanza count field that must be at least 1.
+fn expect_positive(json: &Json, context: &str, field: &str) -> Result<usize, DslError> {
+    let parsed = expect_usize(json, context, field)?;
+    if parsed == 0 {
+        return Err(DslError::invalid(context, field, "must be at least 1"));
+    }
+    Ok(parsed)
+}
+
+/// A `randomized-gmr` speed ladder: a non-empty array of walker speeds in
+/// `1..=250`, the range of the zoo's `k`-step walkers.
+fn parse_speeds(json: &Json, context: &str) -> Result<Vec<u8>, DslError> {
+    let invalid = || {
+        DslError::invalid(
+            context,
+            "speeds",
+            format!(
+                "must be a non-empty array of speeds in 1..={}",
+                scenarios::MAX_SPEED
+            ),
+        )
+    };
+    let items = json
+        .as_arr()
+        .filter(|items| !items.is_empty())
+        .ok_or_else(invalid)?;
+    items
+        .iter()
+        .map(|item| {
+            item.as_u64()
+                .filter(|k| (1..=scenarios::MAX_SPEED).contains(k))
+                .and_then(|k| u8::try_from(k).ok())
+                .ok_or_else(invalid)
+        })
+        .collect()
+}
+
 fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
     let outer_context = format!("workload {index}");
     let fields = expect_obj(json, &outer_context)?;
@@ -1257,30 +1352,32 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
         .find(|(key, _)| key == "kind")
         .map(|(_, value)| expect_str(value, &outer_context, "kind"))
         .transpose()?
-        .ok_or_else(|| DslError::MissingField {
-            context: outer_context.clone(),
-            field: "kind".to_string(),
-        })?;
+        .ok_or_else(|| DslError::missing(&outer_context, "kind"))?;
     let context = format!("workload {index} ({kind})");
 
     // Collect the stanza's fields, rejecting any a stanza of this kind does
     // not define.
     let mut radius = None;
     let mut step = None;
+    let mut step_divisor = None;
     let mut max_roots = None;
     let mut family = None;
     let mut ladder = None;
     let mut ids = None;
     let mut decider = None;
+    let mut speeds = None;
+    let mut views = None;
     let allowed: &[&str] = match kind {
         "section2-trees" => &["kind", "max-roots", "radius"],
         "section2-promise" | "path-coverage" | "grid-profile" | "promise-views" => {
             &["kind", "radius"]
         }
-        "paths" => &["kind", "radius", "step"],
+        "paths" => &["kind", "radius", "step", "step-divisor"],
         "layered-tree-views" => &["kind", "radius", "max-roots"],
         "sweep" => &["kind", "family", "ladder", "radius", "ids", "decider"],
         "fractional-coloring" => &["kind", "ladder"],
+        "section3-zoo" | "pyramid" | "relationship-table" => &["kind"],
+        "randomized-gmr" => &["kind", "speeds", "views"],
         other => {
             return Err(DslError::UnknownWorkload {
                 kind: other.to_string(),
@@ -1289,36 +1386,18 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
     };
     for (key, value) in fields {
         if !allowed.contains(&key.as_str()) {
-            return Err(DslError::UnknownField {
-                context: context.clone(),
-                field: key.to_string(),
-            });
+            return Err(DslError::unknown_field(&context, key));
         }
         match key.as_str() {
             "kind" => {}
             "radius" => radius = Some(expect_radius(value, &context)?),
-            "step" => {
-                let parsed = expect_usize(value, &context, "step")?;
-                if parsed == 0 {
-                    return Err(DslError::InvalidField {
-                        context: context.clone(),
-                        field: "step".to_string(),
-                        detail: "must be at least 1".to_string(),
-                    });
-                }
-                step = Some(parsed);
+            "step" => step = Some(expect_positive(value, &context, "step")?),
+            "step-divisor" => {
+                step_divisor = Some(expect_positive(value, &context, "step-divisor")?);
             }
-            "max-roots" => {
-                let parsed = expect_usize(value, &context, "max-roots")?;
-                if parsed == 0 {
-                    return Err(DslError::InvalidField {
-                        context: context.clone(),
-                        field: "max-roots".to_string(),
-                        detail: "must be at least 1".to_string(),
-                    });
-                }
-                max_roots = Some(parsed);
-            }
+            "max-roots" => max_roots = Some(expect_positive(value, &context, "max-roots")?),
+            "speeds" => speeds = Some(parse_speeds(value, &context)?),
+            "views" => views = Some(expect_bool(value, &context, "views")?),
             "family" => family = Some(parse_family(value, &context)?),
             "ladder" => ladder = Some(parse_ladder(value, &context)?),
             "ids" => ids = Some(IdRegime::parse(expect_str(value, &context, "ids")?)?),
@@ -1327,12 +1406,8 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
         }
     }
 
-    let require_ladder = |ladder: Option<Ladder>| {
-        ladder.ok_or_else(|| DslError::MissingField {
-            context: context.clone(),
-            field: "ladder".to_string(),
-        })
-    };
+    let require_ladder =
+        |ladder: Option<Ladder>| ladder.ok_or_else(|| DslError::missing(&context, "ladder"));
     Ok(match kind {
         "section2-trees" => Workload::Section2Trees {
             max_roots: max_roots.unwrap_or(scenarios::TREE_MAX_ROOTS),
@@ -1344,6 +1419,7 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
         "paths" => Workload::Paths {
             radius: radius.unwrap_or(3),
             step: step.unwrap_or(scenarios::PATH_STEP),
+            step_divisor,
         },
         "path-coverage" => Workload::PathCoverage {
             radius: radius.unwrap_or(3),
@@ -1359,10 +1435,7 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
             radius: radius.unwrap_or(3),
         },
         "sweep" => Workload::Sweep {
-            family: family.ok_or_else(|| DslError::MissingField {
-                context: context.clone(),
-                field: "family".to_string(),
-            })?,
+            family: family.ok_or_else(|| DslError::missing(&context, "family"))?,
             ladder: require_ladder(ladder)?,
             radius: radius.unwrap_or(1),
             ids: ids.unwrap_or(IdRegime::Consecutive),
@@ -1382,6 +1455,13 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
             }
             Workload::FractionalColoring { ladder }
         }
+        "section3-zoo" => Workload::Section3Zoo,
+        "pyramid" => Workload::Pyramid,
+        "relationship-table" => Workload::RelationshipTable,
+        "randomized-gmr" => Workload::RandomizedGmr {
+            speeds: speeds.unwrap_or_else(|| DEFAULT_SPEEDS.to_vec()),
+            views: views.unwrap_or(false),
+        },
         _ => unreachable!("unknown kinds rejected above"),
     })
 }
@@ -1390,10 +1470,8 @@ fn parse_workload(json: &Json, index: usize) -> Result<Workload, DslError> {
 mod tests {
     use super::*;
 
-    /// The committed documents, compiled in so their canonical form is
-    /// pinned at unit level.
-    const SECTION2_DOC: &str = include_str!("../../../scenarios/section2-sweep.json");
-    const SECTION2_R3_DOC: &str = include_str!("../../../scenarios/section2-sweep-r3.json");
+    /// The unregistered committed document, compiled in so its canonical
+    /// form is pinned at unit level next to the eight built-ins.
     const NEW_FAMILIES_DOC: &str = include_str!("../../../scenarios/new-families.json");
 
     #[test]
@@ -1420,7 +1498,10 @@ mod tests {
 
     #[test]
     fn canonical_render_is_a_parse_fixed_point() {
-        for text in [SECTION2_DOC, SECTION2_R3_DOC, NEW_FAMILIES_DOC] {
+        for text in scenarios::BUILTIN_DOCS
+            .into_iter()
+            .chain([NEW_FAMILIES_DOC])
+        {
             let doc = ScenarioDoc::from_text(text).unwrap();
             let rendered = doc.to_json().render();
             let reparsed = ScenarioDoc::from_text(&rendered).unwrap();
@@ -1436,7 +1517,7 @@ mod tests {
                 r#"{{"schema": "ld-runner/scenario/v1", "name": "t", "workloads": {workloads}}}"#
             )
         };
-        let cases: Vec<(DslError, String)> = vec![
+        let mut cases: Vec<(DslError, String)> = vec![
             (
                 DslError::Parse {
                     detail: String::new(),
@@ -1457,18 +1538,12 @@ mod tests {
                 r#"{"name": "t", "workloads": [{"kind": "paths"}]}"#.to_string(),
             ),
             (
-                DslError::MissingField {
-                    context: String::new(),
-                    field: String::new(),
-                },
+                DslError::missing("", ""),
                 r#"{"schema": "ld-runner/scenario/v1", "workloads": [{"kind": "paths"}]}"#
                     .to_string(),
             ),
             (
-                DslError::UnknownField {
-                    context: String::new(),
-                    field: String::new(),
-                },
+                DslError::unknown_field("", ""),
                 r#"{"schema": "ld-runner/scenario/v1", "name": "t", "surprise": 1, "workloads": [{"kind": "paths"}]}"#
                     .to_string(),
             ),
@@ -1478,10 +1553,7 @@ mod tests {
                 base(r#"[{"kind": "mystery"}]"#),
             ),
             (
-                DslError::UnknownField {
-                    context: String::new(),
-                    field: String::new(),
-                },
+                DslError::unknown_field("", ""),
                 base(r#"[{"kind": "paths", "surprise": 1}]"#),
             ),
             (
@@ -1513,21 +1585,33 @@ mod tests {
                 base(r#"[{"kind": "fractional-coloring", "ladder": {"from": 1, "to": 40}}]"#),
             ),
             (
-                DslError::InvalidField {
-                    context: String::new(),
-                    field: String::new(),
-                    detail: String::new(),
-                },
+                DslError::invalid("", "", ""),
                 base(r#"[{"kind": "sweep", "family": {"kind": "circulant", "offsets": [2, 4]}, "ladder": {"from": 6, "to": 12}}]"#),
             ),
             (
-                DslError::MissingField {
-                    context: String::new(),
-                    field: String::new(),
-                },
+                DslError::missing("", ""),
                 base(r#"[{"kind": "sweep", "family": {"kind": "random-regular"}, "ladder": {"from": 6, "to": 12}}]"#),
             ),
+            (
+                DslError::invalid("", "", ""),
+                r#"{"schema": "ld-runner/scenario/v1", "name": "t", "scaled-budget": "yes", "workloads": [{"kind": "pyramid"}]}"#
+                    .to_string(),
+            ),
+            (
+                DslError::unknown_field("", ""),
+                base(r#"[{"kind": "pyramid", "radius": 1}]"#),
+            ),
         ];
+        for stanza in [
+            r#"{"kind": "randomized-gmr", "speeds": []}"#,
+            r#"{"kind": "randomized-gmr", "speeds": [0]}"#,
+            r#"{"kind": "randomized-gmr", "speeds": [251]}"#,
+            r#"{"kind": "randomized-gmr", "speeds": 4}"#,
+            r#"{"kind": "randomized-gmr", "views": 1}"#,
+            r#"{"kind": "paths", "step-divisor": 0}"#,
+        ] {
+            cases.push((DslError::invalid("", "", ""), base(&format!("[{stanza}]"))));
+        }
         for (expected, text) in cases {
             let err = ScenarioDoc::from_text(&text).unwrap_err();
             assert_eq!(
@@ -1538,6 +1622,22 @@ mod tests {
             assert!(err.exit_code() >= 64);
             assert!(!err.token().is_empty());
         }
+    }
+
+    /// A document may carry any `u64` degree: planning it range-checks
+    /// before the parity test, so an absurd degree plans nothing instead of
+    /// overflowing `n * degree`.
+    #[test]
+    fn huge_random_regular_degree_plans_nothing_without_overflow() {
+        let text = r#"{"schema": "ld-runner/scenario/v1", "name": "huge", "workloads": [
+            {"kind": "sweep", "family": {"kind": "random-regular", "degree": 9223372036854775808},
+             "ladder": {"from": 4, "to": 18446744073709551615}}]}"#;
+        let doc = ScenarioDoc::from_text(text).unwrap();
+        let err = doc
+            .plan(&SweepConfig::default())
+            .err()
+            .expect("no size admits the degree");
+        assert!(err.contains("max_n = 128 leaves no cell"), "{err}");
     }
 
     #[test]
@@ -1561,19 +1661,9 @@ mod tests {
             DslError::Schema {
                 found: String::new(),
             },
-            DslError::MissingField {
-                context: String::new(),
-                field: String::new(),
-            },
-            DslError::InvalidField {
-                context: String::new(),
-                field: String::new(),
-                detail: String::new(),
-            },
-            DslError::UnknownField {
-                context: String::new(),
-                field: String::new(),
-            },
+            DslError::missing("", ""),
+            DslError::invalid("", "", ""),
+            DslError::unknown_field("", ""),
             DslError::UnknownWorkload {
                 kind: String::new(),
             },

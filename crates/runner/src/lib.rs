@@ -59,7 +59,8 @@
 //! use ld_runner::{scenarios, stream, SweepConfig};
 //!
 //! let config = SweepConfig { max_n: 16, threads: 2, seed: 1, ..SweepConfig::default() };
-//! let report = stream::collect(&scenarios::PyramidSweep, &config).unwrap();
+//! let pyramids = scenarios::find("pyramid-sweep").unwrap();
+//! let report = stream::collect(pyramids.as_ref(), &config).unwrap();
 //! assert_eq!(report.panicked(), 0);
 //! let json = report.to_json();
 //! assert!(json.starts_with("{"));

@@ -204,9 +204,9 @@ impl SweepConfig {
 
     /// The per-cell budget with a scenario-supplied default: an explicit
     /// `--node-budget` / `--view-budget` always wins, but when neither was
-    /// set, `default` caps the cell instead of "unlimited".  The XL
-    /// scenarios pass [`EnumerationBudget::scaled`] here so large-N cells
-    /// are never uncapped.
+    /// set, `default` caps the cell instead of "unlimited".  Documents with
+    /// `scaled-budget` pass [`EnumerationBudget::scaled`] here so large-N
+    /// cells are never uncapped.
     pub fn enumeration_budget_or(&self, default: EnumerationBudget) -> EnumerationBudget {
         if self.node_budget.is_none() && self.view_budget.is_none() {
             default
@@ -317,9 +317,9 @@ impl Default for Plan {
 pub trait Scenario: Sync {
     /// The stable name `ldx` addresses the scenario by (kebab-case).
     ///
-    /// Borrowed from the scenario value (not `'static`): built-in scenarios
-    /// return literals, while file-defined scenarios (see [`crate::dsl`])
-    /// return names owned by the parsed document.
+    /// Borrowed from the scenario value (not `'static`): every built-in is
+    /// a parsed document (see [`crate::dsl`]), and returns the name the
+    /// document owns.
     fn name(&self) -> &str;
 
     /// One-line human description for `ldx list`.

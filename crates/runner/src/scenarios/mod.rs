@@ -1,32 +1,30 @@
 //! The built-in scenarios and their registry.
 //!
-//! `section2-sweep` and `section2-sweep-r3` are the committed scenario
-//! documents under `scenarios/`, embedded at compile time and parsed by
-//! [`ScenarioDoc::from_text`]: the files are their only definition, and
-//! their DSL stanzas call the planners in the `section2` and `section2_r3`
-//! modules.  The other six built-ins are Rust [`Scenario`] impls.
+//! Every built-in is a committed scenario document under `scenarios/`,
+//! embedded at compile time and parsed by [`ScenarioDoc::from_text`]: the
+//! files are their only definition.  This module holds the planners their
+//! DSL stanzas call — `section2` (`section2-trees`, `section2-promise`),
+//! `section2_r3` (`paths`, `path-coverage`, `grid-profile`,
+//! `layered-tree-views`, `promise-views`), `section3` (`section3-zoo`),
+//! `pyramid` (`pyramid`), `randomized` (`randomized-gmr`) and `table`
+//! (`relationship-table`).
 
 mod pyramid;
 mod randomized;
-mod randomized_xl;
 mod section2;
 mod section2_r3;
-mod section2_xl;
 mod section3;
 mod table;
 
+pub(crate) use pyramid::pyramid_cells;
+pub(crate) use randomized::{randomized_cells, MAX_SPEED, VIEWS_RADIUS as RANDOMIZED_VIEWS_RADIUS};
 pub(crate) use section2::{layered_tree_cells, promise_decider_cells, MAX_ROOTS as TREE_MAX_ROOTS};
 pub(crate) use section2_r3::{
     grid_profile_cells, path_cells, path_coverage_cells, promise_cells as promise_views_only_cells,
     tree_family_cells, MAX_ROOTS as R3_TREE_MAX_ROOTS, PATH_STEP,
 };
-
-pub use pyramid::PyramidSweep;
-pub use randomized::RandomizedSweep;
-pub use randomized_xl::RandomizedSweepXl;
-pub use section2_xl::Section2SweepXl;
-pub use section3::Section3Sweep;
-pub use table::RelationshipTable;
+pub(crate) use section3::zoo_cells;
+pub(crate) use table::table_cells;
 
 use crate::cell::{CellOutcome, CellSpec};
 use crate::dsl::ScenarioDoc;
@@ -123,14 +121,17 @@ pub(crate) fn promise_views_cell(
     });
 }
 
-/// The committed `section2-sweep` and `section2-sweep-r3` documents.
-const SECTION2_DOC: &str = include_str!("../../../../scenarios/section2-sweep.json");
-const SECTION2_R3_DOC: &str = include_str!("../../../../scenarios/section2-sweep-r3.json");
-
-/// Parses an embedded scenario document; the registry tests parse both.
-fn embedded(text: &str) -> Box<dyn Scenario> {
-    Box::new(ScenarioDoc::from_text(text).expect("embedded scenario documents parse"))
-}
+/// The committed built-in documents, in `ldx list` order.
+pub(crate) const BUILTIN_DOCS: [&str; 8] = [
+    include_str!("../../../../scenarios/section2-sweep.json"),
+    include_str!("../../../../scenarios/section2-sweep-r3.json"),
+    include_str!("../../../../scenarios/section2-sweep-xl.json"),
+    include_str!("../../../../scenarios/section3-sweep.json"),
+    include_str!("../../../../scenarios/pyramid-sweep.json"),
+    include_str!("../../../../scenarios/randomized-sweep.json"),
+    include_str!("../../../../scenarios/randomized-sweep-xl.json"),
+    include_str!("../../../../scenarios/relationship-table.json"),
+];
 
 /// Asserts that every cell of `report` passed, naming the cells that
 /// failed or panicked.
@@ -147,16 +148,13 @@ pub(crate) fn assert_all_pass(report: &crate::report::RunReport) {
 
 /// Every built-in scenario, in `ldx list` order.
 pub fn all() -> Vec<Box<dyn Scenario>> {
-    vec![
-        embedded(SECTION2_DOC),
-        embedded(SECTION2_R3_DOC),
-        Box::new(Section2SweepXl),
-        Box::new(Section3Sweep),
-        Box::new(PyramidSweep),
-        Box::new(RandomizedSweep),
-        Box::new(RandomizedSweepXl),
-        Box::new(RelationshipTable),
-    ]
+    BUILTIN_DOCS
+        .iter()
+        .map(|text| {
+            Box::new(ScenarioDoc::from_text(text).expect("embedded scenario documents parse"))
+                as Box<dyn Scenario>
+        })
+        .collect()
 }
 
 /// Looks a scenario up by its `ldx` name.
@@ -222,6 +220,32 @@ mod tests {
                 assert!(!radii.is_empty(), "{name}");
                 assert!(radii.iter().all(|&r| r == expect), "{name} at {radius:?}");
             }
+        }
+    }
+
+    /// Stanzas without a `radius` field ignore `--radius`: those
+    /// built-ins plan the same cells under any override.
+    #[test]
+    fn radius_override_leaves_radius_free_stanzas_alone() {
+        for name in [
+            "section3-sweep",
+            "pyramid-sweep",
+            "randomized-sweep",
+            "randomized-sweep-xl",
+            "relationship-table",
+        ] {
+            let specs = |radius| {
+                let config = crate::scenario::SweepConfig {
+                    radius,
+                    ..crate::scenario::SweepConfig::default()
+                };
+                let plan = find(name).unwrap().plan(&config).unwrap();
+                plan.cells
+                    .into_iter()
+                    .map(|c| c.spec)
+                    .collect::<Vec<crate::cell::CellSpec>>()
+            };
+            assert_eq!(specs(None), specs(Some(3)), "{name}");
         }
     }
 

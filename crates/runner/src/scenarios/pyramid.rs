@@ -1,4 +1,6 @@
-//! `pyramid-sweep`: the quadtree-pyramid workload.
+//! The planner behind `pyramid-sweep`, the quadtree-pyramid workload: the
+//! `pyramid` stanza of the committed document `scenarios/pyramid-sweep.json`,
+//! which the registry embeds.
 //!
 //! Pyramids are the paper's example of a family whose structure is locally
 //! verifiable; the sweep checks structural integrity per height and
@@ -6,14 +8,11 @@
 //! levels are self-similar, so view classes repeat heavily across heights).
 
 use crate::cell::{CellOutcome, CellSpec};
-use crate::scenario::{Plan, Scenario, SweepConfig};
+use crate::scenario::{Plan, SweepConfig};
 use ld_constructions::pyramid::{Pyramid, PyramidLabel};
 use ld_local::cache::ViewCache;
 use ld_local::enumeration::distinct_oblivious_views_of_cached;
 use std::sync::Arc;
-
-/// The pyramid sweep scenario.
-pub struct PyramidSweep;
 
 fn structure_cell(plan: &mut Plan, h: u32) {
     let spec = CellSpec::new(
@@ -55,43 +54,29 @@ fn views_cell(plan: &mut Plan, cache: &Arc<ViewCache<PyramidLabel>>, h: u32, rad
     });
 }
 
-impl Scenario for PyramidSweep {
-    fn name(&self) -> &str {
-        "pyramid-sweep"
-    }
-
-    fn description(&self) -> &str {
-        "Quadtree pyramids: structural verification and cached view enumeration per height/radius"
-    }
-
-    fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
-        let mut plan = Plan::new();
-        let cache = plan.share_cache::<PyramidLabel>();
-        for h in 1u32.. {
-            let Ok(pyramid) = Pyramid::new(h) else { break };
-            if pyramid.labeled().node_count() > config.max_n {
-                break;
-            }
-            structure_cell(&mut plan, h);
-            for radius in 0..=2usize {
-                views_cell(&mut plan, &cache, h, radius);
-            }
+/// Plans the `pyramid` stanza: a structure cell and view cells at radii
+/// `0..=2` for every height whose pyramid fits `max_n`.
+pub(crate) fn pyramid_cells(
+    plan: &mut Plan,
+    cache: &Arc<ViewCache<PyramidLabel>>,
+    config: &SweepConfig,
+) {
+    for h in 1u32.. {
+        let Ok(pyramid) = Pyramid::new(h) else { break };
+        if pyramid.labeled().node_count() > config.max_n {
+            break;
         }
-        if plan.cells.is_empty() {
-            return Err(format!(
-                "max_n = {} cannot fit the height-1 pyramid ({} nodes)",
-                config.max_n,
-                Pyramid::new(1).map_or(5, |p| p.labeled().node_count())
-            ));
+        structure_cell(plan, h);
+        for radius in 0..=2usize {
+            views_cell(plan, cache, h, radius);
         }
-        Ok(plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream;
+    use crate::{scenarios, stream};
 
     #[test]
     fn pyramids_verify_and_enumerate() {
@@ -103,7 +88,8 @@ mod tests {
             seed: 4,
             ..SweepConfig::default()
         };
-        let report = stream::collect(&PyramidSweep, &config).unwrap();
+        let report =
+            stream::collect(scenarios::find("pyramid-sweep").unwrap().as_ref(), &config).unwrap();
         assert!(report.cells.len() >= 8, "{} cells", report.cells.len());
         assert_eq!(report.panicked(), 0);
         assert_eq!(report.failed(), 0);

@@ -172,10 +172,10 @@ pub(crate) fn layered_tree_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<Section2Label>>,
     config: &SweepConfig,
+    budget: EnumerationBudget,
     max_roots: usize,
     coverage_radius: usize,
 ) -> Result<(), String> {
-    let budget = config.enumeration_budget();
     let params = Section2Params::new(1, IdBound::identity_plus(2))
         .map_err(|e| format!("section 2 parameters: {e}"))?;
 
@@ -237,9 +237,9 @@ pub(crate) fn promise_decider_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<CycleParamLabel>>,
     config: &SweepConfig,
+    budget: EnumerationBudget,
     views_radius: usize,
 ) {
-    let budget = config.enumeration_budget();
     // Promise cycles: the no-instance is the f(r) = 3r cycle, so the
     // pair fits the budget exactly when 3r <= max_n.
     let bound = IdBound::linear(3, 0);

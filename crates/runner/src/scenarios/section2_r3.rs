@@ -1,7 +1,13 @@
-//! The planners behind `section2-sweep-r3`: the Section 2 view machinery
-//! at radius 3, budgeted.  Each stanza of the committed document
-//! `scenarios/section2-sweep-r3.json`, which the registry embeds, calls one
-//! planner here; `section2-sweep-xl` calls them at larger sizes.
+//! The planners behind `section2-sweep-r3` and `section2-sweep-xl`: the
+//! Section 2 view machinery at radius 3, budgeted.  Each stanza of the
+//! committed documents `scenarios/section2-sweep-r3.json` and
+//! `scenarios/section2-sweep-xl.json`, which the registry embeds, calls one
+//! planner here.  The XL document runs the same stanzas sized for the
+//! streaming pipeline's headroom: its path stride scales with `max_n`
+//! (`step-divisor`), and every cell runs under a budget — the explicit
+//! `--node-budget`/`--view-budget` when given, otherwise the scaled default
+//! [`EnumerationBudget::scaled`] (`scaled-budget`), so a pathological cell
+//! exhausts deterministically instead of stalling its shard.
 //!
 //! * **Paths** — the smallest family with a closed-form distinct-view count
 //!   (`radius + 1` classes once `n >= 2·radius + 2`), swept across sizes,
@@ -17,9 +23,8 @@
 //! * **Promise cycles** — the yes/no pair is indistinguishable at radius
 //!   `t` exactly when the announced length reaches `2t + 2`.
 //!
-//! Every cell runs under the sweep's [`SweepConfig::enumeration_budget`]:
-//! exhaustion is reported (`budget.exhausted` in the v2 report schema) as
-//! an explicit outcome rather than failing the cell, so a tight `--node-
+//! Every cell runs under its stanza's budget: exhaustion is reported (the
+//! cell's `budget.exhausted` record in the v3 report) as an explicit outcome rather than failing the cell, so a tight `--node-
 //! budget` produces a clean, deterministic partial sweep instead of a
 //! wall-time surprise.
 
@@ -58,8 +63,7 @@ fn expected_path_views(n: usize, radius: usize) -> Option<usize> {
 }
 
 /// Plans the closed-form path family: one distinct-view-count cell per
-/// swept size, `step` apart.  Shared with `section2-sweep-xl`, which sweeps
-/// the same family at larger sizes and strides.
+/// swept size, `step` apart.
 pub(crate) fn path_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<u8>>,
@@ -100,7 +104,7 @@ pub(crate) fn path_cells(
 }
 
 /// Plans the cross-size path coverage cells (the paradigmatic
-/// indistinguishability).  Shared with `section2-sweep-xl`.
+/// indistinguishability).
 pub(crate) fn path_coverage_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<u8>>,
@@ -154,8 +158,7 @@ pub(crate) fn path_coverage_cells(
     }
 }
 
-/// Plans the grid incremental-profile differential cells.  Shared with
-/// `section2-sweep-xl`.
+/// Plans the grid incremental-profile differential cells.
 pub(crate) fn grid_profile_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<u8>>,
@@ -215,8 +218,7 @@ pub(crate) fn grid_profile_cells(
     }
 }
 
-/// Plans the distinctly-labelled layered-tree cells.  Shared with
-/// `section2-sweep-xl`.
+/// Plans the distinctly-labelled layered-tree cells.
 pub(crate) fn tree_family_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<Section2Label>>,
@@ -269,8 +271,7 @@ pub(crate) fn tree_family_cells(
     Ok(())
 }
 
-/// Plans the promise-cycle yes/no view cells.  Shared with
-/// `section2-sweep-xl`.
+/// Plans the promise-cycle yes/no view cells.
 pub(crate) fn promise_cells(
     plan: &mut Plan,
     cache: &Arc<ViewCache<CycleParamLabel>>,
@@ -293,6 +294,10 @@ mod tests {
 
     fn section2_sweep_r3() -> Box<dyn Scenario> {
         scenarios::find("section2-sweep-r3").expect("section2-sweep-r3 is registered")
+    }
+
+    fn section2_sweep_xl() -> Box<dyn Scenario> {
+        scenarios::find("section2-sweep-xl").expect("section2-sweep-xl is registered")
     }
 
     #[test]
@@ -366,5 +371,86 @@ mod tests {
             .err()
             .expect("no cell fits");
         assert!(err.contains("max_n = 3 leaves no cell"), "{err}");
+    }
+
+    #[test]
+    fn xl_plan_covers_every_family_at_512() {
+        let config = SweepConfig {
+            max_n: 512,
+            ..SweepConfig::default()
+        };
+        let plan = section2_sweep_xl().plan(&config).unwrap();
+        assert!(plan.cells.len() >= 150, "{} cells", plan.cells.len());
+        assert_eq!(plan.caches.len(), 3);
+        for family in [
+            "path/",
+            "path-coverage/",
+            "grid-profile/",
+            "tree/",
+            "promise/",
+        ] {
+            assert!(
+                plan.cells.iter().any(|c| c.spec.id.starts_with(family)),
+                "no {family} cells planned"
+            );
+        }
+        // Grids reach 22×22 and promise cycles pass length 500 at this
+        // scale — the envelope the streaming pipeline exists for.
+        assert!(plan
+            .cells
+            .iter()
+            .any(|c| c.spec.id.contains("grid-profile/side=21")));
+        assert!(plan
+            .cells
+            .iter()
+            .any(|c| c.spec.id.contains("promise/r=170")));
+    }
+
+    #[test]
+    fn xl_cells_always_carry_a_budget_record() {
+        let config = SweepConfig {
+            max_n: 48,
+            threads: 2,
+            // One-cell shards keep the sweep on the worker pool.
+            shard_size: 1,
+            ..SweepConfig::default()
+        };
+        let report = stream::collect(section2_sweep_xl().as_ref(), &config).unwrap();
+        assert_eq!(report.failed() + report.panicked(), 0);
+        assert_eq!(report.exhausted(), 0, "the scaled default must be generous");
+        for cell in &report.cells {
+            let outcome = cell.outcome.as_ref().unwrap();
+            assert!(
+                outcome.budget.is_some(),
+                "{} ran without a budget record",
+                cell.spec.id
+            );
+        }
+    }
+
+    #[test]
+    fn explicit_budget_flags_override_the_scaled_default() {
+        let config = SweepConfig {
+            max_n: 48,
+            node_budget: Some(64),
+            ..SweepConfig::default()
+        };
+        let a = stream::collect(section2_sweep_xl().as_ref(), &config).unwrap();
+        let b = stream::collect(section2_sweep_xl().as_ref(), &config).unwrap();
+        assert!(a.exhausted() > 0, "a 64-node budget must exhaust XL cells");
+        assert_eq!(a.failed(), 0, "exhaustion is an outcome, not a failure");
+        assert_eq!(a.deterministic_json(), b.deterministic_json());
+    }
+
+    #[test]
+    fn xl_tiny_size_budget_is_rejected_with_a_message() {
+        let err = match section2_sweep_xl().plan(&SweepConfig {
+            max_n: 3,
+            ..SweepConfig::default()
+        }) {
+            Err(message) => message,
+            Ok(plan) => panic!("expected a planning error, got {} cells", plan.cells.len()),
+        };
+        assert!(err.contains("max_n"));
     }
 }

@@ -1,5 +1,6 @@
-//! `section3-sweep`: the computability separation, swept over the machine
-//! zoo.
+//! The planner behind `section3-sweep`, the computability separation swept
+//! over the machine zoo: the `section3-zoo` stanza of the committed
+//! document `scenarios/section3-sweep.json`, which the registry embeds.
 //!
 //! Cells cover the execution-table family `G(M, r)`: the two-stage
 //! identifier-reading decider must match ground truth machine by machine,
@@ -9,7 +10,7 @@
 //! repeated windows, which is precisely what the cache collapses.
 
 use crate::cell::{CellOutcome, CellSpec};
-use crate::scenario::{Plan, Scenario, SweepConfig};
+use crate::scenario::{Plan, SweepConfig};
 use ld_constructions::fragments::FragmentSource;
 use ld_constructions::section3::Section3Label;
 use ld_deciders::section3::{gmr_input, FuelBoundedObliviousCandidate, TwoStageIdDecider};
@@ -21,9 +22,6 @@ use std::sync::Arc;
 const SOURCE: FragmentSource = FragmentSource::WindowsAndDecoys;
 const RADIUS: u32 = 1;
 const FUEL: u64 = 10_000;
-
-/// The Section 3 sweep scenario.
-pub struct Section3Sweep;
 
 fn halting_zoo(max_n: usize) -> Vec<MachineSpec> {
     // `max_n` scales the zoo breadth: slow machines produce tall execution
@@ -96,46 +94,35 @@ fn candidate_cell(
     });
 }
 
-impl Scenario for Section3Sweep {
-    fn name(&self) -> &str {
-        "section3-sweep"
+/// Plans the `section3-zoo` stanza: one two-stage-decider cell per zoo
+/// machine halting within `max_n` steps, then one cell per fuel-bounded
+/// candidate the zoo outruns.  `max_n` scales the zoo breadth; a budget
+/// admitting no machine plans nothing.
+pub(crate) fn zoo_cells(
+    plan: &mut Plan,
+    cache: &Arc<ViewCache<Section3Label>>,
+    config: &SweepConfig,
+) {
+    let machines = halting_zoo(config.max_n);
+    for spec_m in &machines {
+        id_decider_cell(plan, spec_m);
     }
-
-    fn description(&self) -> &str {
-        "Execution-table family G(M,r) over the machine zoo: id decider vs fuel-bounded candidates"
-    }
-
-    fn plan(&self, config: &SweepConfig) -> Result<Plan, String> {
-        let machines = halting_zoo(config.max_n);
-        if machines.is_empty() {
-            return Err(format!(
-                "max_n = {} admits no zoo machine (the quickest halts in 1 step)",
-                config.max_n
-            ));
+    for fuel in [1u64, 2, 4] {
+        // The "must err" expectation only holds when the zoo actually
+        // contains a machine outrunning the candidate's fuel.
+        let outrun = machines
+            .iter()
+            .any(|m| m.truth.steps().is_some_and(|steps| steps > fuel));
+        if outrun {
+            candidate_cell(plan, cache, &machines, fuel);
         }
-        let mut plan = Plan::new();
-        let cache = plan.share_cache::<Section3Label>();
-        for spec_m in &machines {
-            id_decider_cell(&mut plan, spec_m);
-        }
-        for fuel in [1u64, 2, 4] {
-            // The "must err" expectation only holds when the zoo actually
-            // contains a machine outrunning the candidate's fuel.
-            let outrun = machines
-                .iter()
-                .any(|m| m.truth.steps().is_some_and(|steps| steps > fuel));
-            if outrun {
-                candidate_cell(&mut plan, &cache, &machines, fuel);
-            }
-        }
-        Ok(plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream;
+    use crate::{scenarios, stream};
 
     #[test]
     fn sweep_confirms_theorem_2_on_the_quick_zoo() {
@@ -147,7 +134,8 @@ mod tests {
             seed: 9,
             ..SweepConfig::default()
         };
-        let report = stream::collect(&Section3Sweep, &config).unwrap();
+        let report =
+            stream::collect(scenarios::find("section3-sweep").unwrap().as_ref(), &config).unwrap();
         assert!(report.cells.len() >= 5);
         crate::scenarios::assert_all_pass(&report);
         assert!(report.cache_hit_rate() > 0.0);

@@ -1,4 +1,6 @@
-//! `relationship-table`: the Section 1.1 summary table as four cells.
+//! The planner behind `relationship-table`, the Section 1.1 summary table as
+//! four cells: the `relationship-table` stanza of the committed document
+//! `scenarios/relationship-table.json`, which the registry embeds.
 //!
 //! Each cell of the (B / ¬B) × (C / ¬C) table is one sweep cell running its
 //! witnessing experiment: the Section 2 layered trees for (B), the
@@ -6,7 +8,7 @@
 //! quadrant where identifiers provably add nothing.
 
 use crate::cell::{CellOutcome, CellSpec};
-use crate::scenario::{Plan, Scenario, SweepConfig};
+use crate::scenario::Plan;
 use ld_constructions::fragments::FragmentSource;
 use ld_constructions::section2::{Section2Label, Section2Params, SmallInstancesProperty};
 use ld_deciders::section2::{self as s2, IdBasedDecider, StructureVerifier};
@@ -20,9 +22,6 @@ use ld_turing::{zoo, Symbol};
 use std::sync::{Arc, OnceLock};
 
 const MAX_SMALL: usize = 8;
-
-/// The relationship-table scenario.
-pub struct RelationshipTable;
 
 fn section2_separates(cache: &ViewCache<Section2Label>) -> bool {
     let params =
@@ -125,45 +124,32 @@ fn table_cell(
     });
 }
 
-impl Scenario for RelationshipTable {
-    fn name(&self) -> &str {
-        "relationship-table"
-    }
-
-    fn description(&self) -> &str {
-        "The Section 1.1 (B/~B) x (C/~C) summary table, one witnessing experiment per quadrant"
-    }
-
-    fn plan(&self, _config: &SweepConfig) -> Result<Plan, String> {
-        let mut plan = Plan::new();
-        let witnesses = Arc::new(SharedWitnesses {
-            cache: plan.share_cache::<Section2Label>(),
-            section2: OnceLock::new(),
-            section3: OnceLock::new(),
-        });
-        table_cell(&mut plan, &witnesses, "B-C", true, true, "LD* != LD");
-        table_cell(&mut plan, &witnesses, "B-notC", true, false, "LD* != LD");
-        table_cell(&mut plan, &witnesses, "notB-C", false, true, "LD* != LD");
-        table_cell(
-            &mut plan,
-            &witnesses,
-            "notB-notC",
-            false,
-            false,
-            "LD* == LD",
-        );
-        Ok(plan)
-    }
+/// Plans the `relationship-table` stanza: the four quadrant cells, sharing
+/// one set of witnesses and the layered-tree view `cache`.
+pub(crate) fn table_cells(plan: &mut Plan, cache: Arc<ViewCache<Section2Label>>) {
+    let witnesses = Arc::new(SharedWitnesses {
+        cache,
+        section2: OnceLock::new(),
+        section3: OnceLock::new(),
+    });
+    table_cell(plan, &witnesses, "B-C", true, true, "LD* != LD");
+    table_cell(plan, &witnesses, "B-notC", true, false, "LD* != LD");
+    table_cell(plan, &witnesses, "notB-C", false, true, "LD* != LD");
+    table_cell(plan, &witnesses, "notB-notC", false, false, "LD* == LD");
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::stream;
+    use crate::scenario::SweepConfig;
+    use crate::{scenarios, stream};
 
     #[test]
     fn all_four_quadrants_come_out_as_the_paper_states() {
-        let report = stream::collect(&RelationshipTable, &SweepConfig::default()).unwrap();
+        let report = stream::collect(
+            scenarios::find("relationship-table").unwrap().as_ref(),
+            &SweepConfig::default(),
+        )
+        .unwrap();
         assert_eq!(report.cells.len(), 4);
         crate::scenarios::assert_all_pass(&report);
         assert!(report.cache_hit_rate() > 0.0);

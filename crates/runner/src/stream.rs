@@ -1653,7 +1653,7 @@ mod tests {
 
     #[test]
     fn kill_and_resume_byte_matches_an_uninterrupted_run() {
-        use crate::scenarios::RandomizedSweep;
+        let scenario = crate::scenarios::find("randomized-sweep").unwrap();
         let config = SweepConfig {
             max_n: 8,
             threads: 2,
@@ -1666,12 +1666,12 @@ mod tests {
             ..StreamOptions::default()
         };
         let full = temp_path("full");
-        let complete = run(&RandomizedSweep, &config, &full, &deterministic).unwrap();
+        let complete = run(scenario.as_ref(), &config, &full, &deterministic).unwrap();
         assert!(complete.completed && complete.shard_count >= 3);
 
         let killed = temp_path("killed");
         let partial = run(
-            &RandomizedSweep,
+            scenario.as_ref(),
             &config,
             &killed,
             &StreamOptions {
@@ -1709,10 +1709,9 @@ mod tests {
 
     #[test]
     fn digest_mismatch_refuses_to_resume() {
-        use crate::scenarios::RandomizedSweep;
         let path = temp_path("tamper");
         run(
-            &RandomizedSweep,
+            crate::scenarios::find("randomized-sweep").unwrap().as_ref(),
             &SweepConfig {
                 max_n: 8,
                 threads: 1,

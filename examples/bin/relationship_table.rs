@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: 4,
         ..SweepConfig::default()
     };
-    let report = stream::collect(&scenarios::RelationshipTable, &config)?;
+    let table = scenarios::find("relationship-table").ok_or("relationship-table is built in")?;
+    let report = stream::collect(table.as_ref(), &config)?;
 
     let verdict = |quadrant: &str| -> &'static str {
         report

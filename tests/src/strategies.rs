@@ -1,6 +1,7 @@
-//! Shared proptest strategies for the canonical-code differential suites.
+//! Shared proptest strategies: adversarial balls for the canonical-code
+//! differential suites, and valid scenario documents for the DSL suites.
 //!
-//! The strategies here generate the inputs that stress canonicalisation
+//! The ball strategies generate the inputs that stress canonicalisation
 //! hardest:
 //!
 //! - large symmetric instances of 63, 64 and 65 nodes (an 8×8 grid,
@@ -20,8 +21,15 @@
 //! The vendored proptest stand-in has no `prop_oneof`/`prop_flat_map`, so
 //! family unions are built manually: a `(family, colour_mode, seed)` tuple
 //! strategy mapped through a deterministic [`StdRng`]-driven builder.
+//!
+//! The document generators ([`arbitrary_doc`], [`arbitrary_workload`]) draw
+//! every stanza kind the scenario DSL defines, with each optional field —
+//! stanza fields and the document budgets, `scaled-budget` included —
+//! randomly present or defaulted.  `dsl_roundtrip.rs` runs its fixed-point,
+//! unknown-field and schema proptests over them.
 
 use local_decision::prelude::*;
+use local_decision::runner::json::Json;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,6 +285,185 @@ fn hash_label<L: Hash>(label: &L) -> u8 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     label.hash(&mut hasher);
     (hasher.finish() % 251) as u8
+}
+
+/// The schema tag of every generated scenario document.
+const SCHEMA: &str = "ld-runner/scenario/v1";
+
+/// A non-empty kebab-ish scenario name.
+fn arbitrary_name(rng: &mut StdRng) -> String {
+    const POOL: &[char] = &['a', 'b', 'z', 'Z', '0', '9', '-', '_', '.', 'é'];
+    let len = rng.gen_range(1..12);
+    (0..len)
+        .map(|_| POOL[rng.gen_range(0..POOL.len())])
+        .collect()
+}
+
+/// A free-form description, including the empty string (its default).
+fn arbitrary_description(rng: &mut StdRng) -> String {
+    const POOL: &[char] = &['a', ' ', '"', '\\', '\n', 'あ', '😀'];
+    let len = rng.gen_range(0..16);
+    (0..len)
+        .map(|_| POOL[rng.gen_range(0..POOL.len())])
+        .collect()
+}
+
+/// A valid ladder with `1 <= from <= to <= cap` and `step >= 1`.  The
+/// `step` key is omitted (exercising its default) half the time when it
+/// drew 1.
+fn arbitrary_ladder(rng: &mut StdRng, cap: usize) -> Json {
+    let from = rng.gen_range(1..=cap);
+    let to = rng.gen_range(from..=cap);
+    let step = rng.gen_range(1..=8usize);
+    let ladder = Json::object().set("from", from).set("to", to);
+    if step == 1 && rng.gen() {
+        ladder
+    } else {
+        ladder.set("step", step)
+    }
+}
+
+/// A valid family spec: bare-string and object forms for the
+/// parameter-free families, parameterised objects for the rest.
+fn arbitrary_family(rng: &mut StdRng) -> Json {
+    match rng.gen_range(0..6) {
+        0 => Json::Str("path".to_string()),
+        1 => Json::Str("cycle".to_string()),
+        2 => Json::object().set("kind", if rng.gen() { "path" } else { "cycle" }),
+        3 => Json::object()
+            .set("kind", "random-regular")
+            .set("degree", rng.gen_range(2..=5usize)),
+        4 => Json::object()
+            .set("kind", "power-law")
+            .set("attach", rng.gen_range(1..=4usize)),
+        _ => {
+            // gcd 1 by construction: either contains 1, or is {2, 3}.
+            let offsets: Vec<usize> = if rng.gen() {
+                vec![1, rng.gen_range(2..=6)]
+            } else {
+                vec![2, 3]
+            };
+            Json::object()
+                .set("kind", "circulant")
+                .set("offsets", Json::array(offsets))
+        }
+    }
+}
+
+/// A valid workload stanza of a random kind, with each optional field
+/// randomly present (explicit) or absent (defaulted).
+pub fn arbitrary_workload(rng: &mut StdRng) -> Json {
+    let radius = rng.gen_range(1..=3usize);
+    let maybe = |doc: Json, key: &str, value: usize, rng: &mut StdRng| {
+        if rng.gen() {
+            doc.set(key, value)
+        } else {
+            doc
+        }
+    };
+    match rng.gen_range(0..13) {
+        0 => {
+            let doc = Json::object().set("kind", "section2-trees");
+            let doc = maybe(doc, "max-roots", rng.gen_range(1..=32), rng);
+            maybe(doc, "radius", radius, rng)
+        }
+        1 => maybe(
+            Json::object().set("kind", "section2-promise"),
+            "radius",
+            radius,
+            rng,
+        ),
+        2 => {
+            let doc = Json::object().set("kind", "paths");
+            let doc = maybe(doc, "radius", radius, rng);
+            let doc = maybe(doc, "step", rng.gen_range(1..=12), rng);
+            maybe(doc, "step-divisor", rng.gen_range(1..=32), rng)
+        }
+        3 => maybe(
+            Json::object().set("kind", "path-coverage"),
+            "radius",
+            radius,
+            rng,
+        ),
+        4 => maybe(
+            Json::object().set("kind", "grid-profile"),
+            "radius",
+            radius,
+            rng,
+        ),
+        5 => {
+            let doc = Json::object().set("kind", "layered-tree-views");
+            let doc = maybe(doc, "radius", radius, rng);
+            maybe(doc, "max-roots", rng.gen_range(1..=16), rng)
+        }
+        6 => maybe(
+            Json::object().set("kind", "promise-views"),
+            "radius",
+            radius,
+            rng,
+        ),
+        7 => {
+            let mut doc = Json::object()
+                .set("kind", "sweep")
+                .set("family", arbitrary_family(rng))
+                .set("ladder", arbitrary_ladder(rng, 64));
+            if rng.gen() {
+                doc = doc.set("radius", radius);
+            }
+            if rng.gen() {
+                let ids = ["consecutive", "shifted", "shuffled"][rng.gen_range(0..3)];
+                doc = doc.set("ids", ids);
+            }
+            if rng.gen() {
+                let decider = ["degree-profile", "distinct-views"][rng.gen_range(0..2)];
+                doc = doc.set("decider", decider);
+            }
+            doc
+        }
+        8 => Json::object()
+            .set("kind", "fractional-coloring")
+            .set("ladder", arbitrary_ladder(rng, 31)),
+        9 => Json::object().set("kind", "section3-zoo"),
+        10 => Json::object().set("kind", "pyramid"),
+        11 => Json::object().set("kind", "relationship-table"),
+        _ => {
+            let mut doc = Json::object().set("kind", "randomized-gmr");
+            if rng.gen() {
+                let speeds: Vec<u64> = (0..rng.gen_range(1..=8))
+                    .map(|_| rng.gen_range(1..=250u64))
+                    .collect();
+                doc = doc.set("speeds", Json::array(speeds));
+            }
+            if rng.gen() {
+                doc = doc.set("views", rng.gen::<bool>());
+            }
+            doc
+        }
+    }
+}
+
+/// A valid scenario document with 1–4 workloads and each optional
+/// document field randomly present.
+pub fn arbitrary_doc(rng: &mut StdRng) -> Json {
+    let mut doc = Json::object()
+        .set("schema", SCHEMA)
+        .set("name", arbitrary_name(rng));
+    if rng.gen() {
+        doc = doc.set("description", arbitrary_description(rng));
+    }
+    if rng.gen() {
+        doc = doc.set("node-budget", rng.gen_range(1..=u64::MAX));
+    }
+    if rng.gen() {
+        doc = doc.set("view-budget", rng.gen_range(1..=u64::MAX));
+    }
+    if rng.gen() {
+        doc = doc.set("scaled-budget", rng.gen::<bool>());
+    }
+    let workloads: Vec<Json> = (0..rng.gen_range(1..=4))
+        .map(|_| arbitrary_workload(rng))
+        .collect();
+    doc.set("workloads", Json::Arr(workloads))
 }
 
 #[cfg(test)]

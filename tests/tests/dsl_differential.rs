@@ -1,9 +1,9 @@
 //! Differential conformance for the committed scenario documents.
 //!
-//! `section2-sweep` and `section2-sweep-r3` are defined only by the files
-//! under `scenarios/`: the registry embeds them at compile time.  These
-//! tests pin that the registry entry *is* the file — the in-memory report
-//! from `scenarios::find` is byte-identical to the streamed report from
+//! Every built-in is defined only by its file `scenarios/<name>.json`: the
+//! registry embeds them at compile time.  These tests pin that each
+//! registry entry *is* its file — the in-memory report from
+//! `scenarios::find` is byte-identical to the streamed report from
 //! `ScenarioDoc::from_text` of the file at 1 and 4 threads — and that
 //! document-backed sweeps resume to identical bytes.  (CI re-checks the
 //! files end-to-end through the `ldx` binary.)
@@ -85,6 +85,36 @@ fn assert_byte_identical(
             "{builtin_name} at {threads} threads: streamed bytes of the file diverge from the registry entry"
         );
         cleanup(&path);
+    }
+}
+
+/// Every registry entry against its file, at the small `max_n` (and node
+/// budget) its `builtin_golden` row pins.
+#[test]
+fn every_registry_entry_is_byte_identical_to_its_file() {
+    let sizes = [
+        ("section2-sweep", 24, None),
+        ("section2-sweep-r3", 48, Some(2_000_000)),
+        ("section2-sweep-xl", 48, None),
+        ("section3-sweep", 24, None),
+        ("pyramid-sweep", 24, None),
+        ("randomized-sweep", 24, None),
+        ("randomized-sweep-xl", 24, None),
+        ("relationship-table", 24, None),
+    ];
+    let registry = scenarios::all();
+    assert_eq!(registry.len(), sizes.len(), "one row per built-in");
+    for (scenario, (name, max_n, node_budget)) in registry.iter().zip(sizes) {
+        assert_eq!(scenario.name(), name, "the rows follow the registry");
+        let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../scenarios")
+            .join(format!("{name}.json"));
+        let text =
+            std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        assert_byte_identical(&text, name, &|threads| SweepConfig {
+            node_budget,
+            ..config(max_n, threads)
+        });
     }
 }
 

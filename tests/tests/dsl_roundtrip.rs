@@ -19,167 +19,12 @@
 
 use ld_runner::json::Json;
 use ld_runner::{DslError, ScenarioDoc};
+use ld_tests::strategies::{arbitrary_doc, arbitrary_workload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SCHEMA: &str = "ld-runner/scenario/v1";
-
-/// A non-empty kebab-ish scenario name.
-fn arbitrary_name(rng: &mut StdRng) -> String {
-    const POOL: &[char] = &['a', 'b', 'z', 'Z', '0', '9', '-', '_', '.', 'é'];
-    let len = rng.gen_range(1..12);
-    (0..len)
-        .map(|_| POOL[rng.gen_range(0..POOL.len())])
-        .collect()
-}
-
-/// A free-form description, including the empty string (its default).
-fn arbitrary_description(rng: &mut StdRng) -> String {
-    const POOL: &[char] = &['a', ' ', '"', '\\', '\n', 'あ', '😀'];
-    let len = rng.gen_range(0..16);
-    (0..len)
-        .map(|_| POOL[rng.gen_range(0..POOL.len())])
-        .collect()
-}
-
-/// A valid ladder with `1 <= from <= to <= cap` and `step >= 1`.  The
-/// `step` key is omitted (exercising its default) half the time when it
-/// drew 1.
-fn arbitrary_ladder(rng: &mut StdRng, cap: usize) -> Json {
-    let from = rng.gen_range(1..=cap);
-    let to = rng.gen_range(from..=cap);
-    let step = rng.gen_range(1..=8usize);
-    let ladder = Json::object().set("from", from).set("to", to);
-    if step == 1 && rng.gen() {
-        ladder
-    } else {
-        ladder.set("step", step)
-    }
-}
-
-/// A valid family spec: bare-string and object forms for the
-/// parameter-free families, parameterised objects for the rest.
-fn arbitrary_family(rng: &mut StdRng) -> Json {
-    match rng.gen_range(0..6) {
-        0 => Json::Str("path".to_string()),
-        1 => Json::Str("cycle".to_string()),
-        2 => Json::object().set("kind", if rng.gen() { "path" } else { "cycle" }),
-        3 => Json::object()
-            .set("kind", "random-regular")
-            .set("degree", rng.gen_range(2..=5usize)),
-        4 => Json::object()
-            .set("kind", "power-law")
-            .set("attach", rng.gen_range(1..=4usize)),
-        _ => {
-            // gcd 1 by construction: either contains 1, or is {2, 3}.
-            let offsets: Vec<usize> = if rng.gen() {
-                vec![1, rng.gen_range(2..=6)]
-            } else {
-                vec![2, 3]
-            };
-            Json::object()
-                .set("kind", "circulant")
-                .set("offsets", Json::array(offsets))
-        }
-    }
-}
-
-/// A valid workload stanza of a random kind, with each optional field
-/// randomly present (explicit) or absent (defaulted).
-fn arbitrary_workload(rng: &mut StdRng) -> Json {
-    let radius = rng.gen_range(1..=3usize);
-    let maybe = |doc: Json, key: &str, value: usize, rng: &mut StdRng| {
-        if rng.gen() {
-            doc.set(key, value)
-        } else {
-            doc
-        }
-    };
-    match rng.gen_range(0..9) {
-        0 => {
-            let doc = Json::object().set("kind", "section2-trees");
-            let doc = maybe(doc, "max-roots", rng.gen_range(1..=32), rng);
-            maybe(doc, "radius", radius, rng)
-        }
-        1 => maybe(
-            Json::object().set("kind", "section2-promise"),
-            "radius",
-            radius,
-            rng,
-        ),
-        2 => {
-            let doc = Json::object().set("kind", "paths");
-            let doc = maybe(doc, "radius", radius, rng);
-            maybe(doc, "step", rng.gen_range(1..=12), rng)
-        }
-        3 => maybe(
-            Json::object().set("kind", "path-coverage"),
-            "radius",
-            radius,
-            rng,
-        ),
-        4 => maybe(
-            Json::object().set("kind", "grid-profile"),
-            "radius",
-            radius,
-            rng,
-        ),
-        5 => {
-            let doc = Json::object().set("kind", "layered-tree-views");
-            let doc = maybe(doc, "radius", radius, rng);
-            maybe(doc, "max-roots", rng.gen_range(1..=16), rng)
-        }
-        6 => maybe(
-            Json::object().set("kind", "promise-views"),
-            "radius",
-            radius,
-            rng,
-        ),
-        7 => {
-            let mut doc = Json::object()
-                .set("kind", "sweep")
-                .set("family", arbitrary_family(rng))
-                .set("ladder", arbitrary_ladder(rng, 64));
-            if rng.gen() {
-                doc = doc.set("radius", radius);
-            }
-            if rng.gen() {
-                let ids = ["consecutive", "shifted", "shuffled"][rng.gen_range(0..3)];
-                doc = doc.set("ids", ids);
-            }
-            if rng.gen() {
-                let decider = ["degree-profile", "distinct-views"][rng.gen_range(0..2)];
-                doc = doc.set("decider", decider);
-            }
-            doc
-        }
-        _ => Json::object()
-            .set("kind", "fractional-coloring")
-            .set("ladder", arbitrary_ladder(rng, 31)),
-    }
-}
-
-/// A valid scenario document with 1–4 workloads and each optional
-/// document field randomly present.
-fn arbitrary_doc(rng: &mut StdRng) -> Json {
-    let mut doc = Json::object()
-        .set("schema", SCHEMA)
-        .set("name", arbitrary_name(rng));
-    if rng.gen() {
-        doc = doc.set("description", arbitrary_description(rng));
-    }
-    if rng.gen() {
-        doc = doc.set("node-budget", rng.gen_range(1..=u64::MAX));
-    }
-    if rng.gen() {
-        doc = doc.set("view-budget", rng.gen_range(1..=u64::MAX));
-    }
-    let workloads: Vec<Json> = (0..rng.gen_range(1..=4))
-        .map(|_| arbitrary_workload(rng))
-        .collect();
-    doc.set("workloads", Json::Arr(workloads))
-}
 
 /// An arbitrary JSON value of bounded depth — *not* shaped like a
 /// scenario — for the totality test.
@@ -200,6 +45,10 @@ fn arbitrary_json(rng: &mut StdRng, depth: usize) -> Json {
                 "sweep",
                 "ladder",
                 "radius",
+                "randomized-gmr",
+                "section3-zoo",
+                "pyramid",
+                "relationship-table",
                 SCHEMA,
                 "",
             ];
@@ -224,6 +73,10 @@ fn arbitrary_json(rng: &mut StdRng, depth: usize) -> Json {
                         "radius",
                         "ids",
                         "decider",
+                        "speeds",
+                        "views",
+                        "step-divisor",
+                        "scaled-budget",
                         "junk",
                     ];
                     (
@@ -336,25 +189,22 @@ proptest! {
 /// `scenarios/*.json` diffable against the canonical renderer.
 #[test]
 fn committed_scenario_files_are_canonical() {
-    for (name, text) in [
-        (
-            "section2-sweep",
-            include_str!("../../scenarios/section2-sweep.json"),
-        ),
-        (
-            "section2-sweep-r3",
-            include_str!("../../scenarios/section2-sweep-r3.json"),
-        ),
-        (
-            "new-families",
-            include_str!("../../scenarios/new-families.json"),
-        ),
-    ] {
-        let doc = ScenarioDoc::from_text(text).expect("committed scenarios parse");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scenarios/ is readable")
+        .map(|entry| entry.expect("scenarios/ entries are readable").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 9, "the eight built-ins plus new-families");
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("committed scenarios are readable");
+        let doc = ScenarioDoc::from_text(&text).expect("committed scenarios parse");
         assert_eq!(
             doc.to_json().render(),
             text,
-            "{name} drifted from canonical form"
+            "{} drifted from canonical form",
+            path.display()
         );
     }
 }
