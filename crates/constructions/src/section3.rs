@@ -34,8 +34,11 @@ use std::sync::Arc;
 /// The machine is held behind an [`Arc`]: [`build_gmr`] gives every node a
 /// handle to one shared description, so a label clone (into a view or a
 /// cache entry) copies a pointer, not the transition table.  `Arc`'s
-/// `PartialEq`/`Hash` delegate to the machine, so labels compare and hash
-/// by the machine's value exactly as if each held its own copy.
+/// `PartialEq`/`Hash` delegate to the machine, so labels compare by the
+/// machine's value exactly as if each held its own copy.  Hashing a label
+/// writes the machine's precomputed fingerprint (see [`TuringMachine`]),
+/// not its transition table, so the enumeration's exact keys, canon
+/// colours and cache addressing hash a label in O(1).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section3Label {
     /// The machine `M` whose execution is embedded (shared by every node).
@@ -387,7 +390,8 @@ pub mod promise {
     use super::*;
 
     /// The constant label of the promise-problem cycles.  As in
-    /// [`Section3Label`], every node holds a handle to one shared machine.
+    /// [`Section3Label`], every node holds a handle to one shared machine,
+    /// and hashing the label writes the machine's fingerprint.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     pub struct MachineLabel {
         /// The machine every node is told about.

@@ -37,7 +37,7 @@ use ld_local::enumeration::{
 };
 use ld_local::{BudgetUsage, IdBound};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Enumerates two instances under one shared budget — skipping the second
 /// entirely once the first exhausts, so no capped work is thrown away — and
@@ -146,20 +146,31 @@ pub(crate) fn assert_all_pass(report: &crate::report::RunReport) {
     assert!(failing.is_empty(), "failing cells: {failing:?}");
 }
 
+/// The built-in documents, parsed once on first use, in `ldx list` order.
+fn registry() -> &'static [ScenarioDoc] {
+    static REGISTRY: OnceLock<Vec<ScenarioDoc>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        BUILTIN_DOCS
+            .iter()
+            .map(|text| ScenarioDoc::from_text(text).expect("embedded scenario documents parse"))
+            .collect()
+    })
+}
+
 /// Every built-in scenario, in `ldx list` order.
 pub fn all() -> Vec<Box<dyn Scenario>> {
-    BUILTIN_DOCS
+    registry()
         .iter()
-        .map(|text| {
-            Box::new(ScenarioDoc::from_text(text).expect("embedded scenario documents parse"))
-                as Box<dyn Scenario>
-        })
+        .map(|doc| Box::new(doc.clone()) as Box<dyn Scenario>)
         .collect()
 }
 
 /// Looks a scenario up by its `ldx` name.
 pub fn find(name: &str) -> Option<Box<dyn Scenario>> {
-    all().into_iter().find(|s| s.name() == name)
+    registry()
+        .iter()
+        .find(|doc| doc.name() == name)
+        .map(|doc| Box::new(doc.clone()) as Box<dyn Scenario>)
 }
 
 /// The machine-readable registry listing shared by `ldx list --json` and
@@ -170,12 +181,12 @@ pub fn listing_json() -> crate::json::Json {
     Json::object().set("schema", "ld-runner/scenarios/v1").set(
         "scenarios",
         Json::Arr(
-            all()
+            registry()
                 .iter()
-                .map(|s| {
+                .map(|doc| {
                     Json::object()
-                        .set("name", s.name())
-                        .set("description", s.description())
+                        .set("name", doc.name())
+                        .set("description", doc.description())
                 })
                 .collect(),
         ),

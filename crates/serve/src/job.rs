@@ -57,6 +57,13 @@ impl JobState {
     }
 }
 
+/// The largest `config.max_n` a job may ask for.  Planning is linear in
+/// `max_n` before any cell runs (about 0.66 KB per planned cell), so an
+/// unbounded value would let one request ask the daemon for gigabytes.
+/// 65,536 is 16 times the largest size any CI step or benchmark workload
+/// sweeps (4,096).
+pub const MAX_JOB_MAX_N: usize = 65_536;
+
 /// One sweep-job submission: what to run and how urgently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -119,7 +126,8 @@ impl JobSpec {
     /// Parses a submission body.  Missing `priority` defaults to 0 and a
     /// missing `config` (or any missing config key) defaults like the CLI;
     /// unknown config keys are rejected so typos fail loudly instead of
-    /// silently sweeping the wrong thing.
+    /// silently sweeping the wrong thing, and so is a `max_n` above
+    /// [`MAX_JOB_MAX_N`].
     ///
     /// # Errors
     ///
@@ -189,7 +197,15 @@ fn apply_config_field(
         other => number(other).map(Some),
     };
     match key {
-        "max_n" => config.max_n = number(value)? as usize,
+        "max_n" => {
+            let max_n = number(value)?;
+            if max_n > MAX_JOB_MAX_N as u64 {
+                return Err(SubmitError::Malformed(format!(
+                    "'max_n' must be at most {MAX_JOB_MAX_N}, got {max_n}"
+                )));
+            }
+            config.max_n = max_n as usize;
+        }
         "threads" => config.threads = number(value)? as usize,
         "seed" => config.seed = number(value)?,
         "radius" => config.radius = optional(value)?.map(|r| r as usize),
@@ -380,6 +396,34 @@ mod tests {
             assert!(
                 err.to_string().contains(needle),
                 "{body}: {err} should mention {needle}"
+            );
+            assert_eq!(err.status(), 400);
+        }
+    }
+
+    #[test]
+    fn max_n_is_bounded_at_admission() {
+        let spec_with = |max_n: u64| {
+            JobSpec::from_json(
+                &Json::object()
+                    .set("scenario", "section2-sweep")
+                    .set("config", Json::object().set("max_n", max_n)),
+            )
+        };
+        let limit = MAX_JOB_MAX_N as u64;
+        assert_eq!(
+            spec_with(limit)
+                .expect("the limit itself is admitted")
+                .config
+                .max_n,
+            MAX_JOB_MAX_N
+        );
+        for too_large in [limit + 1, u64::MAX] {
+            let err = spec_with(too_large).expect_err("above the limit");
+            assert!(matches!(err, SubmitError::Malformed(_)), "{err}");
+            assert!(
+                err.to_string().contains("'max_n' must be at most 65536"),
+                "{err}"
             );
             assert_eq!(err.status(), 400);
         }

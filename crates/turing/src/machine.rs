@@ -2,7 +2,9 @@
 
 use crate::error::TuringError;
 use crate::Result;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A tape symbol.  `Symbol(0)` is the blank symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -68,18 +70,58 @@ pub struct Transition {
 ///   (the convention used throughout this reproduction for the languages
 ///   `L₀ = {M : M outputs 0}` and `L₁ = {M : M outputs 1}`).
 ///
-/// Machines compare and hash by value (`Eq + Hash`): the paper's
-/// constructions place the machine description in every node label, and
-/// two labels are equal only if they describe the same machine.  The
-/// labels share one description through an `Arc` rather than each owning
-/// a copy of the name and transition table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Machines compare by value (`Eq`): the paper's constructions place the
+/// machine description in every node label, and two labels are equal only
+/// if they describe the same machine.  The labels share one description
+/// through an `Arc` rather than each owning a copy of the name and
+/// transition table.
+///
+/// Hashing writes only the machine's **fingerprint**, one 64-bit word
+/// computed once at construction from the name, the state and symbol
+/// counts and the transition table.  A label hash is therefore O(1) however
+/// large the table is.  Equal machines have equal fingerprints, and `Eq`
+/// still compares every field, so the `Hash`/`Eq` contract holds and a
+/// fingerprint collision can never make two different machines equal.
+#[derive(Clone)]
 pub struct TuringMachine {
     name: String,
     num_states: u8,
     num_symbols: u8,
     /// Row-major table indexed by `state * num_symbols + symbol`.
     transitions: Vec<Option<Transition>>,
+    /// Hash of the four fields above, fixed at construction.
+    fingerprint: u64,
+}
+
+impl PartialEq for TuringMachine {
+    fn eq(&self, other: &Self) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.name == other.name
+            && self.num_states == other.num_states
+            && self.num_symbols == other.num_symbols
+            && self.transitions == other.transitions
+    }
+}
+
+impl Eq for TuringMachine {}
+
+impl Hash for TuringMachine {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
+/// The same text as a derived `Debug`: the fingerprint is derived data and
+/// stays out of the output.
+impl fmt::Debug for TuringMachine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TuringMachine")
+            .field("name", &self.name)
+            .field("num_states", &self.num_states)
+            .field("num_symbols", &self.num_symbols)
+            .field("transitions", &self.transitions)
+            .finish()
+    }
 }
 
 impl TuringMachine {
@@ -167,11 +209,14 @@ impl TuringMachine {
                 }
             }
         }
+        let mut hasher = DefaultHasher::new();
+        (&name, num_states, num_symbols, &transitions).hash(&mut hasher);
         Ok(TuringMachine {
             name,
             num_states,
             num_symbols,
             transitions,
+            fingerprint: hasher.finish(),
         })
     }
 
@@ -490,6 +535,55 @@ mod tests {
         let c = m.initial_configuration();
         assert_eq!(c.cell(100), Symbol::BLANK);
         assert_eq!(c.scanned(), Symbol::BLANK);
+    }
+
+    fn hash_of(m: &TuringMachine) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        m.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn separately_built_machines_compare_and_hash_by_value() {
+        let a = write_one_and_halt();
+        let b = write_one_and_halt();
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+
+        let mut changed = TuringMachine::builder("write1", 2, 2);
+        changed.rule(State(0), Symbol(0), Symbol(0), Direction::Stay, State(1));
+        let changed = changed.build().unwrap();
+        assert_ne!(a, changed, "one transition differs");
+        assert_ne!(hash_of(&a), hash_of(&changed));
+
+        let mut renamed = TuringMachine::builder("write1-renamed", 2, 2);
+        renamed.rule(State(0), Symbol(0), Symbol(1), Direction::Stay, State(1));
+        let renamed = renamed.build().unwrap();
+        assert_ne!(a, renamed, "only the name differs");
+        assert_ne!(hash_of(&a), hash_of(&renamed));
+    }
+
+    #[test]
+    fn debug_output_is_the_derived_text_without_the_fingerprint() {
+        let machine = write_one_and_halt();
+        // The struct as it reads without a fingerprint, with a derived `Debug`
+        // (which dead-code analysis does not count as reading the fields).
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        struct TuringMachine {
+            name: String,
+            num_states: u8,
+            num_symbols: u8,
+            transitions: Vec<Option<Transition>>,
+        }
+        let derived = TuringMachine {
+            name: machine.name.clone(),
+            num_states: machine.num_states,
+            num_symbols: machine.num_symbols,
+            transitions: machine.transitions.clone(),
+        };
+        assert_eq!(format!("{machine:?}"), format!("{derived:?}"));
+        assert_eq!(format!("{machine:#?}"), format!("{derived:#?}"));
     }
 
     #[test]

@@ -49,6 +49,24 @@ fn every_builtin_report_matches_its_golden_digest() {
     assert!(drift.is_empty(), "report drift:\n{}", drift.join("\n"));
 }
 
+/// `randomized-sweep-xl` at `max_n` 512: its full 16-cell ladder, up to the
+/// k=128 execution tables of 18,493 nodes.  The registry table above pins
+/// only k=2 and k=4, so this row is what guards the large Monte-Carlo
+/// cells and the large-table canon and cache work.
+#[test]
+fn randomized_sweep_xl_full_ladder_matches_its_golden_digest() {
+    let scenario =
+        scenarios::find("randomized-sweep-xl").expect("randomized-sweep-xl is registered");
+    let config = SweepConfig {
+        max_n: 512,
+        ..SweepConfig::default()
+    };
+    let report = stream::collect(scenario.as_ref(), &config).expect("randomized-sweep-xl runs");
+    assert_eq!(report.cells.len(), 16, "the full ladder");
+    let actual = stream::fnv1a(stream::FNV_OFFSET, report.deterministic_json().as_bytes());
+    assert_eq!(actual, 0x5b10_bb67_354c_da24, "report drift");
+}
+
 /// The committed sample report `ldx-section2-sweep.json`, written by the
 /// `section2_separation` example, is the deterministic report of
 /// `section2-sweep` at `max_n` 64 and the default seed.
